@@ -30,7 +30,7 @@ IMPORTS = {
     "risk": ("repro.systems.megatron", "repro.sim.failures", "repro.sim.stochastic"),
     "table3": ("repro.systems.deepspeed", "repro.systems.megatron", "repro.systems.memo"),
     "table4": ("repro.systems.memo", "repro.experiments.table4"),
-    "table5": ("repro.systems.memo", "repro.experiments.table4"),
+    "table5": ("repro.systems.memo", "repro.experiments.table4", "repro.experiments.table5"),
     "plan": ("repro.core.framework",),
 }
 
@@ -117,23 +117,24 @@ def _table3(query):
 
 
 def _table4(query):
-    from repro.experiments.table4 import ablation_parallel_config
+    from repro.experiments.table4 import TABLE4_SEQUENCE_LENGTHS_K, ablation_parallel_config
     from repro.systems.memo import MemoSystem, MemoVariant
 
     system = MemoSystem(variant=MemoVariant(query["variant"]),
                         fixed_parallel=ablation_parallel_config())
     return [report_answer(system.run(_workload("7B", 8, k)))
-            for k in workloads.TABLE4_SEQLENS_K]
+            for k in TABLE4_SEQUENCE_LENGTHS_K]
 
 
 def _table5(query):
     from repro.experiments.table4 import ablation_parallel_config
+    from repro.experiments.table5 import TABLE5_ALPHAS
     from repro.systems.memo import MemoSystem, MemoVariant
 
     workload = _workload("7B", 8, query["seqlen_k"])
     return [report_answer(MemoSystem(variant=MemoVariant.FULL, fixed_alpha=alpha,
                                      fixed_parallel=ablation_parallel_config()).run(workload))
-            for alpha in workloads.TABLE5_ALPHAS]
+            for alpha in TABLE5_ALPHAS]
 
 
 def _plan(query):

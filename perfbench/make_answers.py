@@ -28,39 +28,18 @@ import workloads  # noqa: E402
 ANSWERS_PATH = os.path.join(HERE, "answers.json")
 
 
-def check_paper_grids() -> None:
-    """The paper groups must still mirror the experiment modules' grids."""
-    from repro.experiments import table3, table4, table5
-
-    groups = workloads.paper_groups()
-    cells3 = {(q["model"], q["gpus"], q["seqlen_k"], q["system"])
-              for name, group in groups.items() if name.startswith("table3-") for q in group}
-    expected3 = {(model, gpus, k, system)
-                 for model, gpus in table3.TABLE3_WORKLOADS
-                 for k in table3.TABLE3_SEQUENCE_LENGTHS_K
-                 for system in table3.SYSTEM_ORDER}
-    cells4 = {(variant, k) for variant in workloads.TABLE4_VARIANTS
-              for k in workloads.TABLE4_SEQLENS_K}
-    expected4 = {(variant.value, k) for _, variant in table4.TABLE4_VARIANTS
-                 for k in table4.TABLE4_SEQUENCE_LENGTHS_K}
-    cells5 = {(alpha, k) for alpha in workloads.TABLE5_ALPHAS for k in workloads.TABLE5_SEQLENS_K}
-    expected5 = {(alpha, k) for alpha in table5.TABLE5_ALPHAS
-                 for k in table5.TABLE5_SEQUENCE_LENGTHS_K}
-    for name, got, expected in (("table3", cells3, expected3), ("table4", cells4, expected4),
-                                ("table5", cells5, expected5)):
-        if got != expected:
-            raise SystemExit(f"perfbench paper grid {name} no longer matches repro.experiments")
-
-
 def main() -> None:
     warnings.simplefilter("ignore")
-    check_paper_grids()
     answers = {}
     started = time.perf_counter()
     queries = workloads.all_answer_queries()
     for index, query in enumerate(queries):
         for key, row in zip(workloads.answer_keys(query), child.execute_query(query)):
             answers[key] = row
+            # A risk query checks its scored statistic only when the winner
+            # runs a pipeline schedule; the pool must keep that true.
+            if query["kind"] == "risk" and row["statistic"] is None:
+                raise SystemExit(f"perfbench: risk query {key} has no pipelined winner")
         if index % 50 == 49:
             print(f"{index + 1}/{len(queries)} queries, {time.perf_counter() - started:.0f}s",
                   file=sys.stderr)

@@ -2,22 +2,24 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload search|fleet|risk|paper \\
+    python3 perfbench/run.py --workload search|paper \\
         --seed N --seconds S --trace 0|1
 
-Four seeded, closed-loop, single-client workloads (see ``README.md``).  Each
-query is one call into a public entry point of the ``repro`` package, made
-in a fresh child process (``child.py``), and its answer is checked against
-the stored table ``answers.json``; a query that raises or answers
-differently is a failed operation.
+Two seeded, closed-loop, single-client workloads (see ``README.md``); the
+risk queries (``estimate --jitter/--failures``) and the fleet reruns
+(``plan-fleet``) run as sessions inside ``paper``.  Each query is one call
+into a public entry point of the ``repro`` package, made in a fresh child
+process (``child.py``), and its answer is checked against the stored table
+``answers.json``; a query that raises or answers differently is a failed
+operation.
 
 ``--trace 0`` times whole blocks of queries until the run has lasted
-``--seconds`` and holds at least ``MIN_QUERIES`` queries, and reports the
-end-to-end metrics.  ``--trace 1`` runs one fixed block three times -- once
-untraced, twice with ``tracer.py`` installed -- and reports per-layer self
-times, call counts and exact counts, after checking that both traced passes
-counted the same.  The last line of standard output is the JSON result; the
-line before it records the run's environment and sample counts.
+``--seconds`` and reports the end-to-end metrics.  ``--trace 1`` runs one
+fixed block three times -- once untraced, twice with ``tracer.py``
+installed -- and reports per-layer self times, call counts and exact counts,
+after checking that both traced passes counted the same.  The last line of
+standard output is the JSON result; the line before it records the run's
+environment and sample counts.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, HERE)
+sys.path.insert(1, SRC)
 
 import tracer  # noqa: E402  (the benchmark's own modules, next to this file)
 import workloads  # noqa: E402
@@ -162,34 +165,29 @@ def tail_percentile(latencies: list) -> tuple:
 def timed_run(workload: str, seed: int, seconds: float, runner: Runner) -> tuple:
     stream = workloads.blocks(workload, seed)
     latencies, setups, peaks = [], [], []
-    attempted = failed = 0
-    extra: dict = {}
-    fleet_dirs: list = []
-    if workload == "fleet":
-        for index in range(workloads.FLEET_PRIMES):
-            cache_dir = os.path.join(runner.run_dir, f"fleet-cache-{index}")
-            result = runner.session({"setup": "prime", "queries": []}, cache_dir=cache_dir)
-            setups.append(result["exit"] - result["spawn"])
-            peaks.append(result["peak_rss_mb"])
-            fleet_dirs.append(cache_dir)
+    attempted = failed = blocks = 0
     started = time.perf_counter()
     while True:
+        cache_dir = None
         for session in next(stream):
-            if fleet_dirs:
-                extra = {"cache_dir": fleet_dirs[runner.sessions % len(fleet_dirs)]}
-            result = runner.session(session, **extra)
-            if workload != "fleet":
-                setups.append(result["setup_end"] - result["spawn"])
+            if session.get("setup") == "prime":
+                # Each block primes its own fleet cache; its reruns load it.
+                cache_dir = os.path.join(runner.run_dir, f"fleet-cache-{runner.sessions}")
+            result = runner.session(session, cache_dir=cache_dir)
+            setups.append(result["setup_end"] - result["spawn"])
+            if not session["queries"]:
+                continue
             peaks.append(result["peak_rss_mb"])
             for query, outcome in zip(session["queries"], result["results"]):
                 attempted += 1
                 failed += not runner.check(query, outcome)
                 latencies.append(outcome["latency_s"])
+        blocks += 1
         now = time.perf_counter()
-        if now - started >= seconds and len(latencies) >= workloads.MIN_QUERIES:
+        if now - started >= seconds:
             break
         if now >= runner.deadline - 30.0:
-            runner.errors.append("run budget reached before the minimum query count")
+            runner.errors.append("run budget reached before --seconds had passed")
             break
     tail_p, tail = tail_percentile(latencies)
     metrics = {
@@ -199,7 +197,7 @@ def timed_run(workload: str, seed: int, seconds: float, runner: Runner) -> tuple
         "setup_s": statistics.median(setups),
         "peak_rss_mb": max(peaks),
     }
-    info = {"queries": len(latencies), "tail_percentile": tail_p,
+    info = {"queries": len(latencies), "blocks": blocks, "tail_percentile": tail_p,
             "setups": len(setups), "measured_s": time.perf_counter() - started}
     return metrics, attempted, failed, info
 

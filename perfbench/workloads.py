@@ -7,10 +7,10 @@ answer table (``answers.json``) its result is checked against.
 Every workload is a stream of *blocks*.  A block is a list of *sessions*; a
 session is one fresh child process that optionally sets up (``setup``) and
 then runs its queries in order.  The runner starts whole blocks until the
-run has lasted ``--seconds`` and holds at least ``MIN_QUERIES`` queries, so
+run has lasted ``--seconds`` (one block, at the benchmark's settings), so
 each block is built to contain the same mix of query costs whatever the
 seed: the seed only decides which pool entries fill each slot and in what
-order they run.
+order the sessions run.
 """
 
 from __future__ import annotations
@@ -19,20 +19,24 @@ import itertools
 import random
 from typing import Dict, Iterator, List
 
-#: Smallest number of timed queries in one run.  The tail percentile needs
-#: ten queries above it; at 30 queries it is the 66th.
-MIN_QUERIES = 30
-
 # ------------------------------------------------------------------- search
 
 SEARCH_SYSTEMS = ("megatron", "memo")
 SEARCH_CLUSTERS = (("7B", 8), ("7B", 16), ("13B", 16), ("13B", 32), ("30B", 32), ("65B", 64))
 SEARCH_SEQLENS_K = (32, 64, 128, 256, 512)
 SEARCH_BATCHES = (16, 64, 256)
+#: Lengths per (system, batch, cluster) in a search block.  Batch-16
+#: searches are the cheapest and all sit below the median, so one length
+#: each is enough; the costlier batches, which set the median and the tail,
+#: get two.
+SEARCH_LENGTHS_PER_CLUSTER = {16: 1, 64: 2, 256: 2}
 #: Queries (one child each) of a traced search pass.
 SEARCH_TRACE_QUERIES = 6
 
 # -------------------------------------------------------------------- fleet
+
+# Fleet reruns are ``paper`` sessions: one cold priming of a private cache
+# directory, then fresh ``repro plan-fleet`` processes that load it.
 
 #: Clusters of the fleet pool: a subset of the search pool's, so every fleet
 #: row is checked against the same stored answer as a standalone search.
@@ -40,22 +44,27 @@ FLEET_CLUSTERS = (("7B", 8), ("7B", 16), ("13B", 16), ("13B", 32))
 FLEET_SEQLENS_K = (32, 128)
 FLEET_BATCHES = (16, 64)
 FLEET_WORKERS = 2
-#: Cache payloads primed per fleet run (``setup_s`` is their median).
-FLEET_PRIMES = 3
+#: ``plan-fleet`` reruns per paper pass, and per traced paper pass.
+FLEET_QUERIES = 6
+FLEET_TRACE_QUERIES = 2
 
 # --------------------------------------------------------------------- risk
 
-#: (model, gpus, seqlen_k, global batch, ttrain target_iterations).  Every
-#: job's winner runs a pipeline schedule, so jitter reaches the scoring; the
-#: targets size each failure walk to about 5,000 simulated seconds.
+#: (model, gpus, seqlen_k, global batch, ttrain target_iterations).  Under
+#: ``RISK_JITTER`` every job's winner runs a pipeline schedule for every
+#: objective, replica count and seed (``make_answers.py`` checks it), so each
+#: jitter query's answer carries the Monte-Carlo statistic that won; the
+#: targets size each failure walk to about 2,500 simulated seconds.
 RISK_JOBS = (
-    ("7B", 16, 32, 64, 90),
-    ("30B", 32, 128, 16, 20),
-    ("65B", 64, 32, 16, 130),
-    ("13B", 32, 128, 64, 10),
-    ("65B", 64, 64, 16, 45),
+    ("65B", 64, 32, 16, 66),
+    ("65B", 64, 32, 64, 17),
+    ("65B", 64, 64, 64, 6),
+    ("30B", 32, 64, 64, 7),
+    ("65B", 32, 256, 16, 1),
 )
-RISK_JITTER = "compute=0.05,straggler=0.1:3"
+#: Compute jitter only: stragglers inflate pipelined makespans enough that
+#: tail objectives pick data-parallel winners, which have no schedule to score.
+RISK_JITTER = "compute=0.05"
 RISK_FAILURES = "mtbf=200000"
 RISK_JITTER_OBJECTIVES = ("mean", "p95", "p99", "cvar")
 RISK_TTRAIN_OBJECTIVES = ("ttrain_mean", "ttrain_p95", "ttrain_p99")
@@ -72,14 +81,10 @@ PAPER_PLANS = tuple(
                                 ("65B", 64, 8, 4))
     for k in (128, 256, 384, 512)
 )
-TABLE4_VARIANTS = ("full_recompute_no_plan", "full_recompute_plan", "full_swap_plan", "memo")
-TABLE4_SEQLENS_K = (64, 128, 256, 384, 512, 640, 768, 896)
-TABLE5_ALPHAS = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
-TABLE5_SEQLENS_K = (192, 256, 320, 384)
-#: Queries per paper group, and per risk session, in a traced pass (keeps
-#: the traced run short).
-PAPER_TRACE_GROUP_QUERIES = 16
-RISK_TRACE_QUERIES = 4
+#: Table 3 lengths per ``repro table3`` call.
+TABLE3_LENGTHS_PER_CALL = 4
+#: Queries per paper session in a traced pass (keeps the traced run short).
+PAPER_TRACE_QUERIES = 4
 
 
 # ------------------------------------------------------------------ pools
@@ -120,25 +125,29 @@ def risk_pool() -> List[dict]:
 
 
 def paper_groups() -> Dict[str, List[dict]]:
-    """One group per CLI invocation: ``table3`` per model row, ``table4``,
-    ``table5`` and ``plan``.  The grids mirror the experiment modules'
-    constants; ``make_answers.py`` checks that they still agree."""
-    from_table3 = {
-        "models": (("7B", 8), ("13B", 16), ("30B", 32), ("65B", 64)),
-        "seqlens_k": (4, 8, 16, 32, 64, 128, 256, 384, 512, 640, 768, 896,
-                      1024, 1152, 1280, 1408),
-        "systems": ("DS", "Mega", "Memo"),
-    }
+    """One group per CLI invocation: ``table3`` per model and four lengths,
+    ``table4``, ``table5`` and ``plan``, over the experiment modules' own
+    grids."""
+    from repro.experiments import table3, table4, table5
+
     groups: Dict[str, List[dict]] = {}
-    for model, gpus in from_table3["models"]:
-        groups[f"table3-{model}"] = [
-            {"kind": "table3", "system": system, "model": model, "gpus": gpus, "seqlen_k": k}
-            for k in from_table3["seqlens_k"] for system in from_table3["systems"]
-        ]
+    # One ``repro table3 --models M --seqlens-k ...`` call per four lengths:
+    # a session's cells share the machine's state while it runs, so spreading
+    # each model's cells over four sessions keeps the pass's median from
+    # resting on one session's few seconds.
+    lengths = table3.TABLE3_SEQUENCE_LENGTHS_K
+    for model, gpus in table3.TABLE3_WORKLOADS:
+        for start in range(0, len(lengths), TABLE3_LENGTHS_PER_CALL):
+            groups[f"table3-{model}-{lengths[start]}"] = [
+                {"kind": "table3", "system": system, "model": model, "gpus": gpus, "seqlen_k": k}
+                for k in lengths[start:start + TABLE3_LENGTHS_PER_CALL]
+                for system in table3.SYSTEM_ORDER
+            ]
     # A Table 4 query is one variant's row, a Table 5 query one length's
     # alpha sweep: the ablation rows run as the experiment modules run them.
-    groups["table4"] = [{"kind": "table4", "variant": variant} for variant in TABLE4_VARIANTS]
-    groups["table5"] = [{"kind": "table5", "seqlen_k": k} for k in TABLE5_SEQLENS_K]
+    groups["table4"] = [{"kind": "table4", "variant": variant.value}
+                        for _, variant in table4.TABLE4_VARIANTS]
+    groups["table5"] = [{"kind": "table5", "seqlen_k": k} for k in table5.TABLE5_SEQUENCE_LENGTHS_K]
     groups["plan"] = [
         {"kind": "plan", "model": model, "gpus": gpus, "tp": tp, "cp": cp, "seqlen_k": k}
         for model, gpus, tp, cp, k in PAPER_PLANS
@@ -186,8 +195,12 @@ def answer_keys(query: dict) -> List[str]:
     if query["kind"] == "fleet":
         return [answer_key(search_query("megatron", *point)) for point in query["points"]]
     if query["kind"] == "table4":
-        return [answer_key(dict(query, seqlen_k=k)) for k in TABLE4_SEQLENS_K]
+        from repro.experiments.table4 import TABLE4_SEQUENCE_LENGTHS_K
+
+        return [answer_key(dict(query, seqlen_k=k)) for k in TABLE4_SEQUENCE_LENGTHS_K]
     if query["kind"] == "table5":
+        from repro.experiments.table5 import TABLE5_ALPHAS
+
         return [answer_key(dict(query, alpha=alpha)) for alpha in TABLE5_ALPHAS]
     return [answer_key(query)]
 
@@ -195,18 +208,27 @@ def answer_keys(query: dict) -> List[str]:
 # ------------------------------------------------------------ query streams
 
 def _search_blocks(rng: random.Random) -> Iterator[List[dict]]:
-    """Blocks of 36 one-query sessions: every (system, batch, cluster)
-    triple once -- batch size and cluster set most of a search's cost --
-    with each (system, batch) pair spreading the five lengths over its six
-    clusters in seeded order (one length twice)."""
+    """Blocks of 60 one-query sessions: every (system, batch, cluster) triple
+    at ``SEARCH_LENGTHS_PER_CLUSTER[batch]`` different lengths, with every
+    length equally often, give or take one, in each (system, batch) pair's
+    slots.  Batch size, cluster and length set a search's cost, so a block's
+    cost mix barely depends on the seed.  With 60 queries the tail (ten
+    queries above it) is the 83rd percentile."""
+    clusters = len(SEARCH_CLUSTERS)
     while True:
         queries = []
         for system, batch in itertools.product(SEARCH_SYSTEMS, SEARCH_BATCHES):
-            lengths = list(SEARCH_SEQLENS_K)
-            rng.shuffle(lengths)
-            lengths.append(rng.choice(SEARCH_SEQLENS_K))
-            queries.extend(search_query(system, model, gpus, k, batch)
-                           for (model, gpus), k in zip(SEARCH_CLUSTERS, lengths))
+            per = SEARCH_LENGTHS_PER_CLUSTER[batch]
+            slots = per * clusters
+            while True:
+                lengths = list(SEARCH_SEQLENS_K) * (slots // len(SEARCH_SEQLENS_K))
+                lengths += rng.sample(SEARCH_SEQLENS_K, slots - len(lengths))
+                rng.shuffle(lengths)
+                if all(len(set(lengths[per * i:per * (i + 1)])) == per for i in range(clusters)):
+                    break
+            for index, (model, gpus) in enumerate(SEARCH_CLUSTERS):
+                queries.extend(search_query(system, model, gpus, k, batch)
+                               for k in lengths[per * index:per * (index + 1)])
         rng.shuffle(queries)
         yield [{"queries": [query]} for query in queries]
 
@@ -219,15 +241,10 @@ def fleet_query(rng: random.Random) -> dict:
     ]}
 
 
-def _fleet_blocks(rng: random.Random) -> Iterator[List[dict]]:
-    while True:
-        yield [{"queries": [fleet_query(rng)]}]
-
-
 def risk_sessions(rng: random.Random) -> List[dict]:
     """Two sessions, each set up with every job's deterministic search, then
-    one jitter and one failure query per job in seeded order.  Each job is
-    scored once with 16 and once with 32 Monte-Carlo replicas."""
+    one jitter and one failure query per job, jobs in pool order.  Each job
+    is scored once with 16 and once with 32 Monte-Carlo replicas."""
     replicas = [RISK_REPLICAS[index % 2] for index in range(len(RISK_JOBS))]
     rng.shuffle(replicas)
     sessions = []
@@ -242,27 +259,27 @@ def risk_sessions(rng: random.Random) -> List[dict]:
             queries.append({"kind": "risk", "mode": "failures", "job": job,
                             "objective": rng.choice(RISK_TTRAIN_OBJECTIVES),
                             "seed": rng.choice(RISK_SEEDS), "target_iterations": target})
-        rng.shuffle(queries)
         sessions.append({"group": "risk", "setup": "risk", "queries": queries})
     return sessions
 
 
 def paper_pass(rng: random.Random, trace: bool = False) -> List[dict]:
-    """Every paper group and both risk sessions once, sessions and the
-    queries inside them in seeded order.  A traced pass keeps only the first
-    few queries of each session."""
-    sessions = []
-    for name, queries in paper_groups().items():
-        queries = list(queries)
-        rng.shuffle(queries)
-        sessions.append({"group": name, "queries": queries})
+    """Every paper group, both risk sessions and the fleet reruns once, the
+    sessions in seeded order after the fleet cache's priming.  Inside a
+    session the queries run in the CLI's order: the caches a session warms
+    make a query's cost depend on what ran before it, and a fixed order keeps
+    the pass's cost mix the same for every seed.  A traced pass keeps only
+    the first few queries of each session and the first few fleet reruns."""
+    sessions = [{"group": name, "queries": list(queries)}
+                for name, queries in paper_groups().items()]
     sessions.extend(risk_sessions(rng))
+    reruns = FLEET_TRACE_QUERIES if trace else FLEET_QUERIES
+    sessions.extend({"group": "fleet", "queries": [fleet_query(rng)]} for _ in range(reruns))
     rng.shuffle(sessions)
     if trace:
         for session in sessions:
-            keep = RISK_TRACE_QUERIES if session["group"] == "risk" else PAPER_TRACE_GROUP_QUERIES
-            session["queries"] = session["queries"][:keep]
-    return sessions
+            session["queries"] = session["queries"][:PAPER_TRACE_QUERIES]
+    return [{"group": "fleet", "setup": "prime", "queries": []}] + sessions
 
 
 def _paper_blocks(rng: random.Random) -> Iterator[List[dict]]:
@@ -272,7 +289,6 @@ def _paper_blocks(rng: random.Random) -> Iterator[List[dict]]:
 
 BLOCKS = {
     "search": _search_blocks,
-    "fleet": _fleet_blocks,
     "paper": _paper_blocks,
 }
 
@@ -288,7 +304,4 @@ def trace_sessions(workload: str, seed: int) -> List[dict]:
     """The fixed session list a traced run repeats (same seed, same list)."""
     if workload == "paper":
         return paper_pass(random.Random(f"paper:{seed}"), trace=True)
-    stream = blocks(workload, seed)
-    if workload == "fleet":
-        return [{"setup": "prime", "queries": []}] + next(stream) + next(stream)
-    return next(stream)[:SEARCH_TRACE_QUERIES]
+    return next(blocks(workload, seed))[:SEARCH_TRACE_QUERIES]
