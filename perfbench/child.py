@@ -4,11 +4,14 @@ Usage: ``python3 perfbench/child.py JOB.json RESULT.json``.  The job names
 the session's set-up, its queries and, for fleet queries, the cache
 directory; the result holds clock readings (``time.perf_counter``, which is
 system-wide on Linux, so the parent can subtract its own spawn time), each
-query's latency and answer rows, and the session's peak RSS.
+query's start, latency and answer rows, the calibration probes (end clock
+and time of one after set-up and one after each query, see
+``calibration_probe``) and the session's peak RSS.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import resource
@@ -33,6 +36,40 @@ IMPORTS = {
     "table5": ("repro.systems.memo", "repro.experiments.table4", "repro.experiments.table5"),
     "plan": ("repro.core.framework",),
 }
+
+
+#: Iterations of the calibration loop: about 12 ms in a child process on the
+#: development machine in its fast state.
+CALIBRATION_LOOPS = 60000
+
+
+def calibration_probe() -> float:
+    """Wall time of a fixed pure-Python loop, the benchmark's own code.
+
+    The host's speed changes by up to 2x within seconds, so the runner
+    scales each latency by the probe times measured around it in the same
+    process.  The loop allocates nothing and runs with the collector off, so
+    a query's leftover heap does not change its cost.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    table = [0.0] * 64
+    acc = 0
+    started = time.perf_counter()
+    for i in range(CALIBRATION_LOOPS):
+        key = (i * 2654435761) % 1009
+        table[key & 63] += key * 0.5
+        acc ^= key
+    elapsed = time.perf_counter() - started
+    if enabled:
+        gc.enable()
+    return elapsed
+
+
+def timed_probe() -> list:
+    """``[end clock, seconds]`` of one calibration probe."""
+    seconds = calibration_probe()
+    return [time.perf_counter(), seconds]
 
 
 def report_answer(report, statistic=None) -> dict:
@@ -205,6 +242,7 @@ def main(job_path, result_path):
         set_up_risk()
     setup_end = time.perf_counter()
 
+    probes = [timed_probe()]
     results = []
     for query_id, query in enumerate(job["queries"]):
         if tracer is not None:
@@ -214,8 +252,9 @@ def main(job_path, result_path):
             answers, error = execute_query(query, job.get("cache_dir"), job.get("workers", 1)), None
         except Exception:
             answers, error = None, traceback.format_exc(limit=8)
-        results.append({"latency_s": time.perf_counter() - started,
+        results.append({"started": started, "latency_s": time.perf_counter() - started,
                         "answers": answers, "error": error})
+        probes.append(timed_probe())
     finished = time.perf_counter()
 
     peak_kb = max(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -224,7 +263,7 @@ def main(job_path, result_path):
         tracer.finish()
     with open(result_path, "w", encoding="utf-8") as handle:
         json.dump({"ready": ready, "traced_from": traced_from, "setup_end": setup_end,
-                   "finished": finished, "results": results,
+                   "finished": finished, "results": results, "probes": probes,
                    "peak_rss_mb": peak_kb / 1024.0}, handle)
 
 

@@ -14,12 +14,13 @@ process (``child.py``), and its answer is checked against the stored table
 operation.
 
 ``--trace 0`` times whole blocks of queries until the run has lasted
-``--seconds`` and reports the end-to-end metrics.  ``--trace 1`` runs one
-fixed block three times -- once untraced, twice with ``tracer.py``
-installed -- and reports per-layer self times, call counts and exact counts,
-after checking that both traced passes counted the same.  The last line of
-standard output is the JSON result; the line before it records the run's
-environment and sample counts.
+``--seconds`` and reports the end-to-end metrics, each time scaled to the
+reference machine by the calibration probes timed around it (``scaled``).
+``--trace 1`` runs one fixed block three times -- once untraced, twice with
+``tracer.py`` installed -- and reports per-layer self times, call counts
+and exact counts, after checking that both traced passes counted the same.
+The last line of standard output is the JSON result; the line before it
+records the run's environment, sample counts and unscaled times.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ SRC = os.path.join(ROOT, "src")
 sys.path.insert(0, HERE)
 sys.path.insert(1, SRC)
 
-import tracer  # noqa: E402  (the benchmark's own modules, next to this file)
+import child  # noqa: E402  (the benchmark's own modules, next to this file)
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 #: A run stops starting new blocks after this long, to exit within 180 s.
@@ -51,6 +53,13 @@ RUN_BUDGET_S = 150.0
 CHILD_TIMEOUT_S = 120.0
 #: Fixed hash seed of every child process.
 CHILD_HASH_SEED = "0"
+#: The calibration probe's time in a child process on the reference machine
+#: (the 2-core development VM in its fast state); reported times are scaled
+#: to it, so they read as that machine's wall time.
+REFERENCE_PROBE_S = 0.012
+#: A time is scaled by the median of the probes that ran within this many
+#: seconds of it (always the two right before and after it).
+PROBE_WINDOW_S = 0.25
 
 END_TO_END = (("queries_per_s", "1/s"), ("query_p50_s", "s"), ("query_tail_s", "s"),
               ("setup_s", "s"), ("peak_rss_mb", "MB"))
@@ -99,6 +108,7 @@ class Runner:
         with open(job_path, "w", encoding="utf-8") as handle:
             json.dump(job, handle)
         timeout = max(1.0, min(CHILD_TIMEOUT_S, self.deadline - time.perf_counter()))
+        parent_probe = child.timed_probe()
         spawn = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, os.path.join(HERE, "child.py"), job_path, result_path],
@@ -121,6 +131,7 @@ class Runner:
         with open(result_path, encoding="utf-8") as handle:
             result = json.load(handle)
         result.update(spawn=spawn, exit=exit_clock)
+        result["probes"].insert(0, parent_probe)
         return result
 
     def check(self, query: dict, result: dict) -> bool:
@@ -162,9 +173,20 @@ def tail_percentile(latencies: list) -> tuple:
 
 # ------------------------------------------------------------- timed runs
 
+def scaled(start: float, end: float, probes: list) -> float:
+    """The time from ``start`` to ``end`` in reference-machine seconds:
+    scaled by the reference probe time over the median time of the
+    ``[end clock, seconds]`` probes that overlap the interval widened by
+    ``PROBE_WINDOW_S`` on each side."""
+    near = [seconds for at, seconds in probes
+            if at >= start - PROBE_WINDOW_S and at - seconds <= end + PROBE_WINDOW_S]
+    return (end - start) * REFERENCE_PROBE_S / statistics.median(near)
+
+
 def timed_run(workload: str, seed: int, seconds: float, runner: Runner) -> tuple:
     stream = workloads.blocks(workload, seed)
     latencies, setups, peaks = [], [], []
+    raw_latencies, raw_setups = [], []
     attempted = failed = blocks = 0
     started = time.perf_counter()
     while True:
@@ -174,14 +196,18 @@ def timed_run(workload: str, seed: int, seconds: float, runner: Runner) -> tuple
                 # Each block primes its own fleet cache; its reruns load it.
                 cache_dir = os.path.join(runner.run_dir, f"fleet-cache-{runner.sessions}")
             result = runner.session(session, cache_dir=cache_dir)
-            setups.append(result["setup_end"] - result["spawn"])
+            probes = result["probes"]
+            raw_setups.append(result["setup_end"] - result["spawn"])
+            setups.append(scaled(result["spawn"], result["setup_end"], probes))
             if not session["queries"]:
                 continue
             peaks.append(result["peak_rss_mb"])
             for query, outcome in zip(session["queries"], result["results"]):
                 attempted += 1
                 failed += not runner.check(query, outcome)
-                latencies.append(outcome["latency_s"])
+                raw_latencies.append(outcome["latency_s"])
+                latencies.append(scaled(outcome["started"],
+                                        outcome["started"] + outcome["latency_s"], probes))
         blocks += 1
         now = time.perf_counter()
         if now - started >= seconds:
@@ -197,8 +223,15 @@ def timed_run(workload: str, seed: int, seconds: float, runner: Runner) -> tuple
         "setup_s": statistics.median(setups),
         "peak_rss_mb": max(peaks),
     }
+    unscaled = {
+        "queries_per_s": len(raw_latencies) / sum(raw_latencies),
+        "query_p50_s": statistics.median(raw_latencies),
+        "query_tail_s": sorted(raw_latencies)[math.ceil(tail_p * len(raw_latencies) / 100) - 1],
+        "setup_s": statistics.median(raw_setups),
+    }
     info = {"queries": len(latencies), "blocks": blocks, "tail_percentile": tail_p,
-            "setups": len(setups), "measured_s": time.perf_counter() - started}
+            "setups": len(setups), "measured_s": time.perf_counter() - started,
+            "unscaled": unscaled}
     return metrics, attempted, failed, info
 
 
@@ -219,7 +252,7 @@ def traced_pass(sessions: list, runner: Runner, label: str, trace: bool) -> dict
     busy, imports, attempted, failed = 0.0, [], 0, 0
     for session in sessions:
         result = runner.session(session, **extra)
-        busy += result["finished"] - result["traced_from"]
+        busy += scaled(result["traced_from"], result["finished"], result["probes"])
         imports.append(result["ready"] - result["spawn"])
         for query, outcome in zip(session["queries"], result["results"]):
             attempted += 1
@@ -305,8 +338,15 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _terminate(signum, _frame) -> None:
+    """On SIGTERM, unwind so that the running child's group is killed and
+    the run directory removed (the ``finally`` clauses) before exiting."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
+    signal.signal(signal.SIGTERM, _terminate)
     begun = time.perf_counter()
     answers_path = os.path.join(HERE, "answers.json")
     if not os.path.isfile(os.path.join(SRC, "repro", "__init__.py")):

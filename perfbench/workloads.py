@@ -44,17 +44,19 @@ FLEET_CLUSTERS = (("7B", 8), ("7B", 16), ("13B", 16), ("13B", 32))
 FLEET_SEQLENS_K = (32, 128)
 FLEET_BATCHES = (16, 64)
 FLEET_WORKERS = 2
-#: ``plan-fleet`` reruns per paper pass, and per traced paper pass.
-FLEET_QUERIES = 6
+#: ``plan-fleet`` reruns per paper pass, and per traced paper pass.  A
+#: rerun's time follows both cores' speeds, which the calibration probe
+#: (timed on one) tracks less well, so few of them sit above the tail.
+FLEET_QUERIES = 2
 FLEET_TRACE_QUERIES = 2
 
 # --------------------------------------------------------------------- risk
 
 #: (model, gpus, seqlen_k, global batch, ttrain target_iterations).  Under
 #: ``RISK_JITTER`` every job's winner runs a pipeline schedule for every
-#: objective, replica count and seed (``make_answers.py`` checks it), so each
-#: jitter query's answer carries the Monte-Carlo statistic that won; the
-#: targets size each failure walk to about 2,500 simulated seconds.
+#: objective, replica count and seed (``make_answers.py`` checks the pool's),
+#: so each jitter query's answer carries the Monte-Carlo statistic that won;
+#: the targets size each failure walk to about 2,500 simulated seconds.
 RISK_JOBS = (
     ("65B", 64, 32, 16, 66),
     ("65B", 64, 32, 64, 17),
@@ -109,18 +111,32 @@ def fleet_pool_points() -> List[list]:
             for b in FLEET_BATCHES]
 
 
+def risk_scoring(job_index: int, replicas_index) -> tuple:
+    """(objective, Monte-Carlo seed) of a job's jitter query with
+    ``RISK_REPLICAS[replicas_index]`` replicas, or of its failure query
+    (``replicas_index`` None); across the jobs every objective and seed
+    recurs."""
+    if replicas_index is None:
+        return (RISK_TTRAIN_OBJECTIVES[job_index % len(RISK_TTRAIN_OBJECTIVES)],
+                RISK_SEEDS[job_index % len(RISK_SEEDS)])
+    slot = 2 * job_index + replicas_index
+    return (RISK_JITTER_OBJECTIVES[slot % len(RISK_JITTER_OBJECTIVES)],
+            RISK_SEEDS[(job_index + replicas_index) % len(RISK_SEEDS)])
+
+
 def risk_pool() -> List[dict]:
+    """Every job's jitter query at each replica count and its failure query,
+    scored as ``risk_scoring`` fixes."""
     queries = []
-    for model, gpus, k, b, target in RISK_JOBS:
+    for index, (model, gpus, k, b, target) in enumerate(RISK_JOBS):
         job = [model, gpus, k, b]
-        for objective, replicas, seed in itertools.product(
-                RISK_JITTER_OBJECTIVES, RISK_REPLICAS, RISK_SEEDS):
+        for replicas_index, replicas in enumerate(RISK_REPLICAS):
+            objective, seed = risk_scoring(index, replicas_index)
             queries.append({"kind": "risk", "mode": "jitter", "job": job,
                             "objective": objective, "replicas": replicas, "seed": seed})
-        for objective, seed in itertools.product(RISK_TTRAIN_OBJECTIVES, RISK_SEEDS):
-            queries.append({"kind": "risk", "mode": "failures", "job": job,
-                            "objective": objective, "seed": seed,
-                            "target_iterations": target})
+        objective, seed = risk_scoring(index, None)
+        queries.append({"kind": "risk", "mode": "failures", "job": job,
+                        "objective": objective, "seed": seed, "target_iterations": target})
     return queries
 
 
@@ -243,22 +259,35 @@ def fleet_query(rng: random.Random) -> dict:
 
 def risk_sessions(rng: random.Random) -> List[dict]:
     """Two sessions, each set up with every job's deterministic search, then
-    one jitter and one failure query per job, jobs in pool order.  Each job
-    is scored once with 16 and once with 32 Monte-Carlo replicas."""
-    replicas = [RISK_REPLICAS[index % 2] for index in range(len(RISK_JOBS))]
+    one jitter query per job, jobs in pool order; each job's one failure
+    query follows its jitter query in one of the two sessions.  Each job is
+    scored once with 16 and once with 32 Monte-Carlo replicas.
+
+    The failure walks (about 1 s each) and the fleet reruns are the pass's
+    only queries longer than 0.3 s; with one walk per job they number fewer
+    than ten, so the paper tail falls among the searched Table 3 cells and
+    jitter queries, which the calibration probes scale well.  A query's
+    cost depends on its objective and Monte-Carlo seed, so these are fixed
+    per job and replica count (``risk_scoring``): the workload seed decides
+    which session each query runs in, not which queries a pass holds."""
+    replicas = [index % 2 for index in range(len(RISK_JOBS))]
     rng.shuffle(replicas)
+    walk_session = [rng.randrange(2) for _ in RISK_JOBS]
     sessions = []
     for flip in (0, 1):
         queries = []
-        for (model, gpus, k, b, target), count in zip(RISK_JOBS, replicas):
+        for index, ((model, gpus, k, b, target), first, walk) in enumerate(
+                zip(RISK_JOBS, replicas, walk_session)):
             job = [model, gpus, k, b]
+            objective, seed = risk_scoring(index, first ^ flip)
             queries.append({"kind": "risk", "mode": "jitter", "job": job,
-                            "objective": rng.choice(RISK_JITTER_OBJECTIVES),
-                            "replicas": count if not flip else sum(RISK_REPLICAS) - count,
-                            "seed": rng.choice(RISK_SEEDS)})
-            queries.append({"kind": "risk", "mode": "failures", "job": job,
-                            "objective": rng.choice(RISK_TTRAIN_OBJECTIVES),
-                            "seed": rng.choice(RISK_SEEDS), "target_iterations": target})
+                            "objective": objective, "replicas": RISK_REPLICAS[first ^ flip],
+                            "seed": seed})
+            if walk == flip:
+                objective, seed = risk_scoring(index, None)
+                queries.append({"kind": "risk", "mode": "failures", "job": job,
+                                "objective": objective, "seed": seed,
+                                "target_iterations": target})
         sessions.append({"group": "risk", "setup": "risk", "queries": queries})
     return sessions
 
