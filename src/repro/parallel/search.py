@@ -9,26 +9,23 @@ plus iteration time), mirroring how the paper "manually adjusts the distributed
 parallelism strategies for each system and each workload to achieve optimal
 training performance".
 
-Invariants of the pipeline-schedule scoring helpers:
+Both search levels -- parallelism points here in :func:`find_best_strategy`,
+schedule kinds inside one point in
+:meth:`repro.systems.base.TrainingSystem._shared_evaluation` -- share one
+pruned candidate loop, :func:`bounded_argmin`.  Invariants:
 
-* PP candidates are scored with a *simulated* schedule
-  (:func:`simulate_pipeline_schedule`), never the analytic bubble formula;
-  the schedule candidate set (:data:`PIPELINE_SCHEDULE_CANDIDATES`) covers
-  1F1B, interleaved-1F1B and the zero-bubble ZB-H1 and ZB-V;
-* scoring runs on the critical-path fast evaluator
-  (:func:`repro.sim.fastpath.evaluate_schedule`, memoized) by default; the
-  event engine is the opt-in ``engine="event"`` / ``validate=True`` oracle,
-  and the two are bit-identical on makespan, bubble and peak memory -- the
-  search may switch evaluators without changing any reported number;
-* candidates whose analytic lower bound
-  (:func:`repro.sim.fastpath.pipeline_lower_bound`) already exceeds the
-  incumbent are pruned without simulation; pruning is conservative (the
-  bound is a true lower bound) and therefore never changes the selected
-  strategy, only the work spent finding it.  The same machinery lifts one
-  level up: :func:`find_best_strategy` takes a per-strategy analytic floor
-  and skips whole parallelism points before any cost model is built or any
-  schedule swept.  Pruned/evaluated counts at both levels are observable
-  through :class:`SearchStats`;
+* PP candidates are scored with a *simulated* schedule, never the analytic
+  bubble formula; the schedule candidate set
+  (:data:`PIPELINE_SCHEDULE_CANDIDATES`) covers 1F1B, interleaved-1F1B and
+  the zero-bubble ZB-H1 and ZB-V;
+* a candidate whose analytic floor (per strategy
+  :meth:`~repro.systems.base.TrainingSystem.strategy_lower_bound`; per
+  schedule :func:`repro.sim.fastpath.pipeline_lower_bound_for_shape` plus
+  the serial floor) cannot beat the incumbent is skipped without
+  evaluation; the floors are true lower bounds and ties keep the lowest
+  index, so pruning never changes the selected candidate, only the work
+  spent finding it.  Pruned/evaluated counts at both levels are observable
+  on :class:`~repro.systems.base.TrainingReport`;
 * :func:`resolve_schedule` is total over the sweeps' inputs: interleaving
   falls back to plain 1F1B when its structural constraints (divisibility,
   chunk counts) do not hold, and the sweeps degrade ZB-V to ZB-H1 via
@@ -50,8 +47,10 @@ from __future__ import annotations
 import contextlib
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple, TypeVar,
+)
 
 from repro.jsonutil import from_hex_float, hex_float
 
@@ -62,30 +61,8 @@ from repro.parallel.strategy import (
     ParallelismConfig,
     RecomputeMode,
 )
-from repro.sim.fastpath import (
-    cached_build_schedule,
-    evaluate_schedule,
-    pipeline_lower_bound_for_shape,
-    wave_ratio_from_costs,
-)
-from repro.sim.failures import (
-    DEFAULT_RECOVERY,
-    DEFAULT_TARGET_ITERATIONS,
-    FailureSpec,
-    RecoveryModel,
-    TTRAIN_OBJECTIVES,
-    simulate_time_to_train,
-    ttrain_objective_base,
-)
-from repro.sim.pipeline import PipelineTimeline, StageCosts
+from repro.sim.fastpath import cached_build_schedule
 from repro.sim.schedules import ScheduleKind, V_WAVE_CHUNKS, WaveRatio
-from repro.sim.stochastic import (
-    DEFAULT_REPLICAS,
-    JitterSpec,
-    MakespanDistribution,
-    RISK_OBJECTIVES,
-    monte_carlo_timeline,
-)
 
 #: Schedule kinds a training system's strategy search may try for a PP
 #: candidate (GPipe is omitted: it is dominated by 1F1B on both time and
@@ -414,32 +391,6 @@ def deduplicated_degenerate_warnings() -> Iterator[None]:
             warnings.warn_explicit(entry.message, entry.category, entry.filename, entry.lineno)
 
 
-def prune_evaluation_order(bounds: Sequence[float]) -> List[int]:
-    """Candidate indices in ascending-(bound, index) order.
-
-    Shared by every pruned candidate loop: evaluating the best-bound
-    candidate first maximises what the incumbent can prune, while the
-    original index breaks ties so that, together with :func:`cannot_beat`,
-    the selected candidate is provably the same as an in-order sweep's.
-    """
-    return sorted(range(len(bounds)), key=lambda index: (bounds[index], index))
-
-
-def cannot_beat(bound: Optional[float], incumbent_total: Optional[float]) -> bool:
-    """Whether a candidate's lower bound proves it cannot win.
-
-    The bound is safety-scaled strictly below the candidate's true time
-    (:data:`repro.sim.fastpath.LOWER_BOUND_SAFETY`), so ``bound >=
-    incumbent`` implies the candidate is *strictly* slower and can change
-    neither the argmin nor an exact tie.  A zero bound proves nothing (the
-    scaling is only strict for positive bounds) and never prunes.
-    """
-    return (
-        bound is not None and bound > 0.0
-        and incumbent_total is not None and bound >= incumbent_total
-    )
-
-
 def enumerate_strategies(
     space: StrategySearchSpace,
     model: ModelConfig,
@@ -591,267 +542,61 @@ def resolve_schedule(
     return cached_build_schedule(*shape, wave_ratio=wave_ratio)
 
 
-def _uniform_schedule_costs(
-    chunks: int,
-    forward_s: float,
-    backward_s: float,
-    p2p_time_s: float = 0.0,
-    offload_bytes: float = 0.0,
-    prefetch_bytes: float = 0.0,
-    activation_bytes: float = 0.0,
-    backward_weight_fraction: Optional[float] = None,
-) -> StageCosts:
-    """Uniform per-chunk costs for a resolved schedule shape (quick scorer)."""
-    backward = backward_s / chunks
-    return StageCosts(
-        forward_s=forward_s / chunks,
-        backward_s=backward,
-        # Encode the transfer as (1 byte, 1/t bytes/s) so callers can hand us a
-        # precomputed per-hop time from CostModel.pipeline_p2p_time.
-        p2p_bytes=1.0 if p2p_time_s > 0 else 0.0,
-        offload_bytes=offload_bytes / chunks,
-        prefetch_bytes=prefetch_bytes / chunks,
-        activation_bytes=activation_bytes / chunks,
-        backward_weight_s=(
-            None if backward_weight_fraction is None
-            else backward_weight_fraction * backward
-        ),
-    )
+class Scored(Protocol):
+    """What :func:`bounded_argmin` reads from an evaluation result."""
+
+    feasible: bool
+    iteration_time_s: float
 
 
-def simulate_pipeline_schedule(
-    parallel: ParallelismConfig,
-    schedule_kind: ScheduleKind,
-    forward_s: float,
-    backward_s: float,
-    num_micro_batches: Optional[int] = None,
-    num_chunks: int = 1,
-    p2p_time_s: float = 0.0,
-    offload_bytes: float = 0.0,
-    prefetch_bytes: float = 0.0,
-    activation_bytes: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-    backward_weight_fraction: Optional[float] = None,
-    num_layers: Optional[int] = None,
-    engine: str = "fast",
-    validate: bool = False,
-) -> PipelineTimeline:
-    """Score one PP strategy point by evaluating its pipeline schedule.
+ScoredT = TypeVar("ScoredT", bound=Scored)
 
-    The per-stage forward/backward times come from the single-stage executor
-    (swap/recompute stalls already resolved); the returned timeline's
-    ``total_s`` and ``bubble_fraction`` replace the analytic
-    ``(p - 1) / (m + p - 1)`` approximation in the strategy search.
-    ``backward_weight_fraction`` feeds the grad-input/grad-weight split of
-    zero-bubble schedules (ignored by fused kinds).  ``engine``/``validate``
-    select the critical-path fast path (default) or the event-engine oracle
-    (:func:`repro.sim.fastpath.evaluate_schedule`).
+
+def bounded_argmin(
+    floors: Sequence[Optional[float]],
+    evaluate: Callable[[int], ScoredT],
+) -> Tuple[Optional[int], List[Tuple[int, ScoredT]], int]:
+    """Index of the fastest feasible candidate, skipping provable losers.
+
+    ``floors[i]`` is a lower bound on candidate ``i``'s score (``None``
+    proves nothing) and ``evaluate(i)`` scores it.  Candidates are evaluated
+    in ascending ``(floor, index)`` order, a ``None`` floor sorting as zero,
+    so the best-floor candidate sets the incumbent first.  A candidate whose
+    floor is positive and ``>=`` the best feasible score so far is skipped:
+    floors are safety-scaled strictly below the true score
+    (:data:`repro.sim.fastpath.LOWER_BOUND_SAFETY`), so such a candidate is
+    strictly slower and can change neither the argmin nor an exact tie.  A
+    zero floor proves nothing (the scaling is only strict for positive
+    floors) and never prunes, and nothing is pruned before a feasible
+    incumbent exists.  Ties on score keep the lowest index, so the winner is
+    the one an exhaustive in-order sweep picks.
+
+    Returns ``(winner, evaluated, pruned)``: the winner's index (``None``
+    when no evaluated candidate is feasible), the ``(index, result)`` pairs
+    in evaluation order, and the number of candidates skipped.
     """
-    shape = resolve_schedule_shape(
-        parallel, schedule_kind, num_micro_batches, num_chunks, num_layers,
+    order = sorted(
+        range(len(floors)),
+        key=lambda index: (floors[index] if floors[index] is not None else 0.0, index),
     )
-    costs = _uniform_schedule_costs(
-        shape[3], forward_s, backward_s,
-        p2p_time_s=p2p_time_s,
-        offload_bytes=offload_bytes,
-        prefetch_bytes=prefetch_bytes,
-        activation_bytes=activation_bytes,
-        backward_weight_fraction=backward_weight_fraction,
-    )
-    ratio = wave_ratio_from_costs(costs) if shape[0] is ScheduleKind.ZB_V else None
-    schedule = cached_build_schedule(*shape, wave_ratio=ratio)
-    return evaluate_schedule(
-        schedule,
-        costs,
-        p2p_bandwidth_bytes_per_s=(1.0 / p2p_time_s) if p2p_time_s > 0 else float("inf"),
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-        engine=engine,
-        validate=validate,
-    )
-
-
-def best_pipeline_schedule(
-    parallel: ParallelismConfig,
-    forward_s: float,
-    backward_s: float,
-    candidates: Sequence[ScheduleKind] = PIPELINE_SCHEDULE_CANDIDATES,
-    num_micro_batches: Optional[int] = None,
-    num_chunks: int = 2,
-    p2p_time_s: float = 0.0,
-    backward_weight_fraction: Optional[float] = None,
-    num_layers: Optional[int] = None,
-    engine: str = "fast",
-    validate: bool = False,
-    prune: bool = True,
-    stats: Optional[SearchStats] = None,
-    objective: str = "mean",
-    jitter: Optional[JitterSpec] = None,
-    replicas: int = DEFAULT_REPLICAS,
-    seed: int = 0,
-    ci_halfwidth: Optional[float] = None,
-    failures: Optional[FailureSpec] = None,
-    recovery: Optional[RecoveryModel] = None,
-    target_iterations: int = DEFAULT_TARGET_ITERATIONS,
-    failure_ranks: Optional[int] = None,
-    gpus_per_node: Optional[int] = None,
-) -> Tuple[ScheduleKind, PipelineTimeline]:
-    """Evaluate every schedule candidate for a PP point and keep the fastest.
-
-    Candidates that resolve to the same schedule (e.g. interleaved falling
-    back to 1F1B) are deduplicated; ties keep the earlier candidate.
-    Candidates are evaluated in ascending-lower-bound order and one whose
-    analytic lower bound cannot beat the incumbent is pruned without
-    evaluation (counted in ``stats.schedules_pruned`` when a
-    :class:`SearchStats` accumulator is passed) -- the bound is conservative
-    and ties fall back to candidate order, so pruning never changes the
-    winner.  Returns the *requested* kind alongside its timeline, so callers
-    can re-resolve it.  This is the uniform-cost quick scorer; the training
-    systems run the same candidate sweep with heterogeneous per-stage costs
-    and per-candidate memory checks
-    (:meth:`repro.systems.base.TrainingSystem._shared_evaluation`).
-
-    Risk-adjusted selection: with a non-null ``jitter`` spec each surviving
-    candidate is additionally replicated ``replicas`` times under seeded
-    perturbations (:func:`repro.sim.stochastic.monte_carlo_timeline`) and
-    candidates compete on ``objective`` -- ``"mean" | "p50" | "p95" | "p99"
-    | "cvar"`` of the makespan distribution -- instead of the deterministic
-    makespan.  Every jitter multiplier is >= 1, so each draw's makespan (and
-    therefore every risk score) sits at or above the deterministic makespan
-    and the analytic lower bound: pruning against the incumbent's risk score
-    stays conservative and argmax-invariant.  The returned timeline is the
-    winner's *deterministic* timeline (the distribution is a scoring device,
-    not a replacement schedule); with a null/absent jitter spec every
-    objective degenerates to the deterministic makespan and the selection is
-    bit-identical to the deterministic sweep.
-
-    Failure-adjusted selection: a ``ttrain_*`` objective scores each
-    candidate by the *effective per-iteration time* of a checkpoint-restart
-    walk (:func:`repro.sim.failures.simulate_time_to_train`) over
-    ``target_iterations`` iterations under the ``failures`` process and the
-    ``recovery`` model, composing with jitter (the walk's per-replica
-    iteration times are the jittered makespans when a jitter spec is
-    active).  The walk's samples are >= the ideal time, so the effective
-    iteration time is >= the deterministic makespan and the analytic bound
-    stays a conservative floor -- pruning remains argmax-invariant.  A null
-    ``failures`` spec degrades each ``ttrain_*`` objective to its base
-    statistic (and, with jitter also null, to the deterministic makespan
-    bit for bit).
-
-    Variance-aware budgeting: ``ci_halfwidth`` forwards to
-    :func:`repro.sim.stochastic.monte_carlo_timeline`'s sequential stopping
-    -- replication per candidate stops once the objective estimator's 95% CI
-    half-width is under the bound, with ``replicas`` as the hard cap.
-    """
-    if not candidates:
-        raise ValueError("candidates must not be empty")
-    ttrain = objective in TTRAIN_OBJECTIVES
-    if not ttrain and objective not in RISK_OBJECTIVES:
-        raise ValueError(
-            f"unknown risk objective {objective!r}; expected one of "
-            f"{RISK_OBJECTIVES + TTRAIN_OBJECTIVES}"
-        )
-    base_objective = ttrain_objective_base(objective) if ttrain else objective
-    failures_active = ttrain and failures is not None and not failures.is_null
-    mc_active = jitter is not None and not jitter.is_null
-    bandwidth = (1.0 / p2p_time_s) if p2p_time_s > 0 else float("inf")
-    entries = []  # (bound, position, kind, resolved shape, costs, wave ratio)
-    seen = set()
-    for position, kind in enumerate(candidates):
-        kind = viable_schedule_kind(kind, parallel.pipeline_parallel, num_layers)
-        shape = resolve_schedule_shape(
-            parallel, kind,
-            num_micro_batches,
-            # The chunk request tunes interleaving; ZB-V's chunk count is
-            # structural and must not inherit it.
-            1 if kind is ScheduleKind.ZB_V else num_chunks,
-            num_layers,
-        )
-        key = (shape[0], shape[3])
-        if key in seen:
+    winner: Optional[int] = None
+    best = 0.0
+    evaluated: List[Tuple[int, ScoredT]] = []
+    pruned = 0
+    for index in order:
+        floor = floors[index]
+        if winner is not None and floor is not None and floor > 0.0 and floor >= best:
+            pruned += 1
             continue
-        seen.add(key)
-        costs = _uniform_schedule_costs(
-            shape[3], forward_s, backward_s,
-            p2p_time_s=p2p_time_s,
-            backward_weight_fraction=backward_weight_fraction,
-        )
-        ratio = wave_ratio_from_costs(costs) if shape[0] is ScheduleKind.ZB_V else None
-        bound = (
-            pipeline_lower_bound_for_shape(
-                *shape, costs, p2p_bandwidth_bytes_per_s=bandwidth,
-            )
-            if prune else 0.0
-        )
-        entries.append((bound, position, kind, shape, costs, ratio))
-
-    best: Optional[Tuple[ScheduleKind, PipelineTimeline]] = None
-    best_score: Optional[float] = None
-    best_position = -1
-    for index in prune_evaluation_order([entry[0] for entry in entries]):
-        bound, position, kind, shape, costs, ratio = entries[index]
-        # Every jitter draw's makespan is >= the deterministic makespan, so
-        # the analytic bound under-estimates every risk score too -- pruning
-        # against the incumbent's risk score remains conservative.
-        if prune and cannot_beat(bound, best_score):
-            if stats is not None:
-                stats.schedules_pruned += 1
-            continue
-        schedule = cached_build_schedule(*shape, wave_ratio=ratio)
-        timeline = evaluate_schedule(
-            schedule, costs,
-            p2p_bandwidth_bytes_per_s=bandwidth,
-            engine=engine, validate=validate,
-        )
-        if mc_active:
-            distribution = monte_carlo_timeline(
-                schedule, costs, jitter, replicas=replicas, seed=seed,
-                p2p_bandwidth_bytes_per_s=bandwidth, validate=validate,
-                ci_halfwidth=ci_halfwidth, objective=base_objective,
-            )
-            iteration_samples: Sequence[float] = distribution.samples
-            score = distribution.score(base_objective)
-        else:
-            iteration_samples = (timeline.total_s,)
-            score = timeline.total_s
-        if failures_active:
-            score = simulate_time_to_train(
-                iteration_samples, target_iterations, failures,
-                recovery if recovery is not None else DEFAULT_RECOVERY,
-                num_ranks=(
-                    failure_ranks if failure_ranks is not None
-                    else parallel.total_gpus
-                ),
-                replicas=replicas, seed=seed, gpus_per_node=gpus_per_node,
-                ci_halfwidth=ci_halfwidth, objective=objective,
-            ).score(objective)
-        if stats is not None:
-            stats.schedules_simulated += 1
-        if best is None or score < best_score or (
-            score == best_score and position < best_position
+        result = evaluate(index)
+        evaluated.append((index, result))
+        if result.feasible and (
+            winner is None
+            or result.iteration_time_s < best
+            or (result.iteration_time_s == best and index < winner)
         ):
-            best = (kind, timeline)
-            best_score = score
-            best_position = position
-    assert best is not None
-    return best
-
-
-def simulated_bubble_fraction(
-    parallel: ParallelismConfig,
-    schedule_kind: ScheduleKind,
-    forward_s: float,
-    backward_s: float,
-    num_chunks: int = 1,
-    p2p_time_s: float = 0.0,
-) -> float:
-    """Measured bubble fraction of a PP candidate under a concrete schedule."""
-    if parallel.pipeline_parallel <= 1:
-        return 0.0
-    timeline = simulate_pipeline_schedule(
-        parallel, schedule_kind, forward_s, backward_s,
-        num_chunks=num_chunks, p2p_time_s=p2p_time_s,
-    )
-    return timeline.bubble_fraction
+            winner, best = index, result.iteration_time_s
+    return winner, evaluated, pruned
 
 
 def find_best_strategy(
@@ -870,13 +615,11 @@ def find_best_strategy(
             bound* on the iteration time ``evaluate`` would report for the
             candidate (safety-scaled strictly below it, like
             :data:`repro.sim.fastpath.LOWER_BOUND_SAFETY`; ``None``/zero
-            proves nothing).  When given, candidates are evaluated in
-            ascending-(floor, index) order and a candidate whose floor cannot
-            beat the best feasible time found so far is skipped entirely --
-            no cost model, no stage executor, no schedule sweep.  Ties on
-            iteration time keep the lowest original index, so the selected
-            strategy is provably the one an exhaustive in-order sweep would
-            pick (property-tested on an exhaustive lattice).
+            proves nothing).  When given, :func:`bounded_argmin` skips a
+            candidate whose floor cannot beat the best feasible time found
+            so far entirely -- no cost model, no stage executor, no
+            schedule sweep -- and still selects the strategy an exhaustive
+            in-order sweep would pick.
         stats: accumulator for ``strategies_evaluated`` /
             ``strategies_pruned`` counters.
 
@@ -893,37 +636,19 @@ def find_best_strategy(
         evaluated; only the counters record them.
     """
     ordered = list(candidates)
-    bounds: List[Optional[float]] = [None] * len(ordered)
-    order = list(range(len(ordered)))
+    floors: List[Optional[float]] = [None] * len(ordered)
     if strategy_bound is not None:
-        bounds = [strategy_bound(candidate) for candidate in ordered]
-        order = prune_evaluation_order(
-            [bound if bound is not None else 0.0 for bound in bounds]
-        )
-    evaluated: List[EvaluatedStrategy] = []
-    best: Optional[EvaluatedStrategy] = None
-    best_index = -1
+        floors = [strategy_bound(candidate) for candidate in ordered]
+
+    def evaluate_at(index: int) -> EvaluatedStrategy:
+        feasible, time_s, reason = evaluate(ordered[index])
+        return EvaluatedStrategy(ordered[index], feasible, time_s, reason)
+
     with deduplicated_degenerate_warnings():
-        for index in order:
-            candidate = ordered[index]
-            if (
-                best is not None
-                and cannot_beat(bounds[index], best.iteration_time_s)
-            ):
-                if stats is not None:
-                    stats.strategies_pruned += 1
-                continue
-            feasible, time_s, reason = evaluate(candidate)
-            if stats is not None:
-                stats.strategies_evaluated += 1
-            record = EvaluatedStrategy(candidate, feasible, time_s, reason)
-            evaluated.append(record)
-            if not feasible:
-                continue
-            if best is None or record.iteration_time_s < best.iteration_time_s or (
-                record.iteration_time_s == best.iteration_time_s
-                and index < best_index
-            ):
-                best = record
-                best_index = index
-    return best, evaluated
+        winner, evaluated, pruned = bounded_argmin(floors, evaluate_at)
+    if stats is not None:
+        stats.strategies_evaluated += len(evaluated)
+        stats.strategies_pruned += pruned
+    records = [record for _, record in evaluated]
+    best = None if winner is None else dict(evaluated)[winner]
+    return best, records

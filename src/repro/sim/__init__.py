@@ -42,7 +42,6 @@ from repro.sim.fastpath import (
 from repro.sim.stochastic import (
     NULL_JITTER,
     RISK_OBJECTIVES,
-    ElasticOutcome,
     JitterSpec,
     MakespanDistribution,
     monte_carlo_timeline,
@@ -50,13 +49,11 @@ from repro.sim.stochastic import (
     parse_jitter_spec,
     perturb_stage_costs,
     replica_rng,
-    simulate_rank_failure,
 )
 
 __all__ = [
     "NULL_JITTER",
     "RISK_OBJECTIVES",
-    "ElasticOutcome",
     "JitterSpec",
     "MakespanDistribution",
     "monte_carlo_timeline",
@@ -64,7 +61,6 @@ __all__ = [
     "parse_jitter_spec",
     "perturb_stage_costs",
     "replica_rng",
-    "simulate_rank_failure",
     "FastPathMismatchError",
     "cached_build_schedule",
     "clear_fastpath_caches",

@@ -33,11 +33,7 @@ layers jitter -- as a pure, seeded post-processing of iteration times:
   search minimises keeps iteration-seconds units and every analytic pruning
   floor stays a valid lower bound: a job can never finish faster than
   ``target_iterations`` failure-free iterations, hence the effective
-  iteration time is >= the deterministic iteration time >= the floor;
-* **rolling elastic failures** (:func:`simulate_rolling_failures`):
-  generalises :func:`repro.sim.stochastic.simulate_rank_failure` to a
-  sequence of failures, each banking the finished micro-batches and
-  re-planning the remainder on one fewer rank.
+  iteration time is >= the deterministic iteration time >= the floor.
 
 Invariants (property-tested like PR 7's):
 
@@ -73,15 +69,9 @@ from repro.jsonutil import (
     opt_hex_float,
 )
 
-from repro.sim.fastpath import critical_path_timeline
-from repro.sim.pipeline import StageCosts, _normalise_costs
-from repro.sim.schedules import PipelineSchedule
 from repro.sim.stochastic import (
-    ElasticOutcome,
     MIN_SEQUENTIAL_REPLICAS,
-    _mean_stage_costs,
     distribution_ci_halfwidth,
-    simulate_rank_failure,
 )
 
 #: Failure-adjusted risk objectives: the same five statistics as
@@ -462,11 +452,12 @@ class RecoveryModel:
             ``None`` picks the Young/Daly optimum for the failure process at
             hand (:func:`optimal_checkpoint_interval`).
         elastic: when True a rank failure does not wait for a replacement --
-            the job continues on the surviving ranks at proportionally
-            degraded throughput (the ``p/(p-1)`` model of
-            :func:`repro.sim.stochastic.simulate_rank_failure`) without
-            paying ``restart_overhead_s``, recovering to full strength only
-            at the next inelastic restart (a preemption, or attrition
+            the job continues on the surviving ranks without paying
+            ``restart_overhead_s``, at proportionally degraded throughput:
+            the failed ranks' work is spread evenly over the survivors, so
+            with ``p`` ranks and ``s`` survivors every step takes ``p/s``
+            times as long (``p/(p-1)`` after one failure).  It recovers to
+            full strength only at the next inelastic restart (a preemption, or attrition
             through ``min_rank_fraction``); when False every failure
             restarts on the full cluster after ``restart_overhead_s``.
         min_rank_fraction: elastic continuation floor -- when attrition
@@ -1037,130 +1028,4 @@ def simulate_time_to_train(
         seed=seed,
         spec=spec,
         recovery=recovery,
-    )
-
-
-# ------------------------------------------------------- rolling elasticity
-@dataclass(frozen=True)
-class RollingOutcome:
-    """Result of a multi-failure elastic scenario.
-
-    Attributes:
-        stages: the per-failure :class:`~repro.sim.stochastic.ElasticOutcome`
-            decompositions, in failure order.
-        completed_micro_batches: micro-batches finished (banked) across all
-            phases, including the final surviving run.
-        final_num_stages: pipeline depth of the last executed phase.
-        total_s: end-to-end makespan across every failure, restart and
-            re-planned run.
-    """
-
-    stages: Tuple[ElasticOutcome, ...]
-    completed_micro_batches: int
-    final_num_stages: int
-    total_s: float
-
-
-def simulate_rolling_failures(
-    schedule: PipelineSchedule,
-    costs: Union[StageCosts, Sequence[StageCosts]],
-    failures: Sequence[Tuple[int, float]],
-    restart_overhead_s: float = 0.0,
-    p2p_bandwidth_bytes_per_s: float = float("inf"),
-    p2p_latency_s: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-) -> RollingOutcome:
-    """Elastic continuation under a *sequence* of rank failures.
-
-    Generalises :func:`repro.sim.stochastic.simulate_rank_failure` to rolling
-    failures: each ``(rank, absolute_time)`` failure banks the micro-batches
-    the current (possibly already shrunk) pipeline finished, loses the
-    in-flight work, and re-plans the remainder on one fewer rank; when the
-    pipeline is already a single stage, a further failure only restarts it
-    (there is nothing left to shrink).  Failure times are absolute simulated
-    seconds and must be strictly increasing; ranks index the pipeline of the
-    phase the failure interrupts.
-    """
-    if not failures:
-        raise ValueError("failures must name at least one (rank, time) event")
-    times = [time_s for _, time_s in failures]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"failure times must be strictly increasing (got {times})")
-    per_stage = _normalise_costs(schedule, costs)
-    current_schedule = schedule
-    current_costs: Sequence[StageCosts] = per_stage
-    phase_start = 0.0
-    completed = 0
-    stages: List[ElasticOutcome] = []
-    clock = 0.0
-    original_stages = schedule.num_stages
-    for rank, time_s in failures:
-        relative = time_s - phase_start
-        if relative < 0:
-            raise ValueError(
-                f"failure at {time_s} predates the current phase start {phase_start}"
-            )
-        if current_schedule.num_stages >= 2:
-            outcome = simulate_rank_failure(
-                current_schedule, current_costs, rank, relative,
-                restart_overhead_s=restart_overhead_s,
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                p2p_latency_s=p2p_latency_s,
-                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-            )
-            stages.append(outcome)
-            completed += outcome.completed_micro_batches
-            if outcome.replan_schedule is None:
-                # The phase finished before this failure: the job is done.
-                clock = phase_start + outcome.total_s
-                return RollingOutcome(
-                    stages=tuple(stages),
-                    completed_micro_batches=completed,
-                    final_num_stages=current_schedule.num_stages,
-                    total_s=clock,
-                )
-            shrunk = current_schedule.num_stages - 1
-            scale = original_stages / shrunk
-            current_costs = [
-                _mean_stage_costs(per_stage, scale)
-            ] * outcome.replan_schedule.num_virtual_stages
-            current_schedule = outcome.replan_schedule
-            phase_start = phase_start + relative + restart_overhead_s
-        else:
-            # Single-stage pipeline: a failure only restarts it from scratch.
-            if rank != 0:
-                raise ValueError(
-                    f"failed_rank must lie in [0, 1) for a single-stage phase "
-                    f"(got {rank})"
-                )
-            timeline = critical_path_timeline(
-                current_schedule, list(current_costs),
-                p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-                p2p_latency_s=p2p_latency_s,
-                pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-            )
-            if relative >= timeline.total_s:
-                clock = phase_start + timeline.total_s
-                completed += current_schedule.num_micro_batches
-                return RollingOutcome(
-                    stages=tuple(stages),
-                    completed_micro_batches=completed,
-                    final_num_stages=1,
-                    total_s=clock,
-                )
-            phase_start = phase_start + relative + restart_overhead_s
-    # Run the final phase to completion.
-    timeline = critical_path_timeline(
-        current_schedule, list(current_costs),
-        p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-        p2p_latency_s=p2p_latency_s,
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-    )
-    completed += current_schedule.num_micro_batches
-    clock = phase_start + timeline.total_s
-    return RollingOutcome(
-        stages=tuple(stages),
-        completed_micro_batches=completed,
-        final_num_stages=current_schedule.num_stages,
-        total_s=clock,
     )

@@ -33,9 +33,7 @@ replication and a risk-adjusted score -- without touching either engine:
 On top sit :func:`monte_carlo_timeline` (replicated evaluation returning a
 :class:`MakespanDistribution` with p50/p95/p99, CVaR and bubble variance),
 :func:`objective_score` (the ``"mean" | "p50" | "p95" | "p99" | "cvar"``
-risk objectives consumed by the strategy search) and
-:func:`simulate_rank_failure` (the elastic scenario hook: kill rank ``r`` at
-time ``t``, re-plan the unfinished micro-batches on ``p - 1`` ranks).
+risk objectives consumed by the strategy search).
 
 Monte-Carlo draws are evaluated through :func:`critical_path_timeline`
 directly, *never* through the memoized ``evaluate_schedule`` wrapper: each
@@ -72,16 +70,11 @@ from repro.sim.fastpath import (
     pipeline_lower_bound,
 )
 from repro.sim.pipeline import (
-    PipelineTimeline,
     StageCosts,
     _normalise_costs,
     simulate_pipeline,
 )
-from repro.sim.schedules import (
-    PipelineSchedule,
-    ScheduleKind,
-    build_schedule,
-)
+from repro.sim.schedules import PipelineSchedule
 
 #: Risk objectives the search may optimize.  ``"mean"`` reproduces the
 #: deterministic selection when jitter is disabled; the percentile objectives
@@ -704,171 +697,4 @@ def monte_carlo_timeline(
         seed=seed,
         spec=spec,
         target_ci_halfwidth=ci_halfwidth,
-    )
-
-
-# --------------------------------------------------------------------- elastic
-@dataclass(frozen=True)
-class ElasticOutcome:
-    """Result of the rank-failure scenario: fail, shrink, re-plan, finish.
-
-    Attributes:
-        failed_rank: the rank killed at ``failure_time_s``.
-        failure_time_s: simulated time of the failure.
-        restart_overhead_s: fixed re-shard/checkpoint-restore cost charged
-            between the failure and the re-planned run.
-        completed_micro_batches: micro-batches whose *every* op had finished
-            before the failure -- their gradient contributions survive.
-        replanned_micro_batches: micro-batches re-run on the shrunk pipeline
-            (in-flight work at the failure instant is lost).
-        replan_schedule: the schedule executed on ``p - 1`` ranks (the
-            original kind, degraded where the shrunk shape cannot satisfy
-            its structural constraints).
-        replan_timeline: the shrunk pipeline's timeline.
-        total_s: end-to-end makespan ``failure + restart + re-planned run``
-            (equals the deterministic makespan when the failure happens
-            after the iteration already finished).
-        replan_kind: schedule kind actually executed on the shrunk pipeline
-            (``None`` when nothing was re-planned).  Differs from the
-            original kind when the shrunk shape cannot satisfy the kind's
-            structural constraints -- e.g. interleaved falls back to 1F1B
-            when the remaining micro-batches no longer divide ``p - 1``.
-        degraded: True when the re-plan had to change the schedule kind or
-            chunk count (the explicit flag for what was previously only
-            observable by comparing ``replan_schedule.kind`` by hand).
-    """
-
-    failed_rank: int
-    failure_time_s: float
-    restart_overhead_s: float
-    completed_micro_batches: int
-    replanned_micro_batches: int
-    replan_schedule: Optional[PipelineSchedule]
-    replan_timeline: Optional[PipelineTimeline]
-    total_s: float
-    replan_kind: Optional[ScheduleKind] = None
-    degraded: bool = False
-
-
-def _mean_stage_costs(per_stage: Sequence[StageCosts], time_scale: float) -> StageCosts:
-    """Average per-stage costs with compute times scaled by ``time_scale``.
-
-    The re-planned pipeline redistributes the failed rank's layers evenly, so
-    each surviving stage carries ``p / (p - 1)`` of the average compute;
-    boundary payloads (P2P activations) are per-micro-batch tensors whose
-    size does not depend on the layer count, so bytes stay at the average.
-    """
-    n = len(per_stage)
-    weight = sum(
-        stage.split_backward_weight_s for stage in per_stage
-        if stage.backward_weight_s is not None
-    )
-    has_split = any(stage.backward_weight_s is not None for stage in per_stage)
-    backward = sum(stage.backward_s for stage in per_stage) / n
-    return StageCosts(
-        forward_s=sum(stage.forward_s for stage in per_stage) / n * time_scale,
-        backward_s=backward * time_scale,
-        p2p_bytes=sum(stage.p2p_bytes for stage in per_stage) / n,
-        offload_bytes=sum(stage.offload_bytes for stage in per_stage) / n,
-        prefetch_bytes=sum(stage.prefetch_bytes for stage in per_stage) / n,
-        recompute_s=sum(stage.recompute_s for stage in per_stage) / n * time_scale,
-        activation_bytes=sum(stage.activation_bytes for stage in per_stage) / n,
-        backward_weight_s=(weight / n * time_scale if has_split else None),
-        weight_grad_bytes=sum(stage.weight_grad_bytes for stage in per_stage) / n,
-    )
-
-
-def simulate_rank_failure(
-    schedule: PipelineSchedule,
-    costs: Union[StageCosts, Sequence[StageCosts]],
-    failed_rank: int,
-    failure_time_s: float,
-    restart_overhead_s: float = 0.0,
-    p2p_bandwidth_bytes_per_s: float = float("inf"),
-    p2p_latency_s: float = 0.0,
-    pcie_bandwidth_bytes_per_s: float = 16e9,
-) -> ElasticOutcome:
-    """Elastic scenario hook: kill rank ``r`` at time ``t``, re-plan on ``p - 1``.
-
-    First-order failure model, deliberately simple (it opens the workload
-    class; refinements belong to follow-up work):
-
-    * the iteration runs deterministically until ``failure_time_s``; a
-      micro-batch counts as completed only when *all* of its ops (every
-      virtual stage, grad-weight included) finished strictly by then --
-      its gradient contribution survives the failure;
-    * in-flight work is lost; the remaining micro-batches re-run from
-      scratch on a re-planned ``p - 1``-stage pipeline of the same schedule
-      kind (degraded where the shrunk shape cannot satisfy the kind's
-      structural constraints, exactly like the candidate sweeps degrade),
-      with each surviving stage charged ``p / (p - 1)`` of the average
-      per-stage compute (the failed rank's layers are redistributed);
-    * a fixed ``restart_overhead_s`` models the re-shard / restore gap.
-    """
-    p = schedule.num_stages
-    if p < 2:
-        raise ValueError("rank failure needs a pipeline of >= 2 stages to shrink")
-    if not 0 <= failed_rank < p:
-        raise ValueError(f"failed_rank must lie in [0, {p}) (got {failed_rank})")
-    if failure_time_s < 0 or not math.isfinite(failure_time_s):
-        raise ValueError("failure_time_s must be finite and non-negative")
-    if restart_overhead_s < 0 or not math.isfinite(restart_overhead_s):
-        raise ValueError("restart_overhead_s must be finite and non-negative")
-    per_stage = _normalise_costs(schedule, costs)
-    timeline = critical_path_timeline(
-        schedule, per_stage,
-        p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-        p2p_latency_s=p2p_latency_s,
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-        record_ops=True,
-    )
-    if failure_time_s >= timeline.total_s:
-        # The iteration finished before the failure: nothing to re-plan.
-        return ElasticOutcome(
-            failed_rank=failed_rank,
-            failure_time_s=failure_time_s,
-            restart_overhead_s=restart_overhead_s,
-            completed_micro_batches=schedule.num_micro_batches,
-            replanned_micro_batches=0,
-            replan_schedule=None,
-            replan_timeline=None,
-            total_s=timeline.total_s,
-        )
-
-    finish_by_mb: dict = {}
-    for record in timeline.records:
-        mb = record.op.micro_batch
-        if record.end_s > finish_by_mb.get(mb, 0.0):
-            finish_by_mb[mb] = record.end_s
-    completed = sum(1 for end in finish_by_mb.values() if end <= failure_time_s)
-    remaining = schedule.num_micro_batches - completed
-
-    shrunk = p - 1
-    kind = schedule.kind
-    chunks = schedule.num_chunks
-    if kind is ScheduleKind.INTERLEAVED and (
-        shrunk > 1 and remaining % shrunk != 0 or chunks < 2
-    ):
-        kind, chunks = ScheduleKind.ONE_F_ONE_B, 1
-    degraded = kind is not schedule.kind or chunks != schedule.num_chunks
-    replan_schedule = build_schedule(kind, shrunk, max(remaining, 1), num_chunks=chunks)
-    replan_costs = [_mean_stage_costs(per_stage, p / shrunk)] * replan_schedule.num_virtual_stages
-    replan_timeline = critical_path_timeline(
-        replan_schedule, replan_costs,
-        p2p_bandwidth_bytes_per_s=p2p_bandwidth_bytes_per_s,
-        p2p_latency_s=p2p_latency_s,
-        pcie_bandwidth_bytes_per_s=pcie_bandwidth_bytes_per_s,
-    )
-    replan_total = replan_timeline.total_s if remaining > 0 else 0.0
-    return ElasticOutcome(
-        failed_rank=failed_rank,
-        failure_time_s=failure_time_s,
-        restart_overhead_s=restart_overhead_s,
-        completed_micro_batches=completed,
-        replanned_micro_batches=remaining,
-        replan_schedule=replan_schedule if remaining > 0 else None,
-        replan_timeline=replan_timeline if remaining > 0 else None,
-        total_s=failure_time_s + restart_overhead_s + replan_total,
-        replan_kind=kind if remaining > 0 else None,
-        degraded=degraded if remaining > 0 else False,
     )

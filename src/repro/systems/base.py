@@ -27,6 +27,7 @@ Scoring invariants:
 
 from __future__ import annotations
 
+import copy
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -44,12 +45,11 @@ from repro.parallel.search import (
     ParetoPoint,
     SearchStats,
     StrategySearchSpace,
-    cannot_beat,
+    bounded_argmin,
     deduplicated_degenerate_warnings,
     enumerate_strategies,
     find_best_strategy,
     pareto_frontier,
-    prune_evaluation_order,
     resolve_schedule_shape,
     viable_schedule_kind,
 )
@@ -67,7 +67,6 @@ from repro.sim.pipeline import (
     PipelineTimeline,
     ZB_WEIGHT_STASH_FRACTION,
     heterogeneous_stage_costs,
-    stage_costs_from_iteration,
 )
 from repro.sim.failures import (
     DEFAULT_RECOVERY,
@@ -703,7 +702,6 @@ class TrainingSystem(ABC):
         if stability_replicas < 0:
             raise ValueError("stability_replicas must be non-negative")
         self.stability_replicas = stability_replicas
-        self._in_stability_sweep = False
 
     @property
     def _monte_carlo_active(self) -> bool:
@@ -742,22 +740,8 @@ class TrainingSystem(ABC):
         """Evaluate one strategy: memory feasibility and iteration time."""
 
     # --------------------------------------------------------------- public API
-    def run(self, workload: Workload, schedule: Optional[Union[ScheduleKind, str]] = None) -> TrainingReport:
-        """Search the strategy space and report the best achievable efficiency.
-
-        Args:
-            schedule: pipeline schedule to use for this run only (overrides
-                the schedule the system was constructed with).
-        """
-        if schedule is not None:
-            if isinstance(schedule, str) and schedule != "auto":
-                schedule = ScheduleKind.from_name(schedule)
-            previous = self.pipeline_schedule
-            self.pipeline_schedule = schedule
-            try:
-                return self.run(workload)
-            finally:
-                self.pipeline_schedule = previous
+    def run(self, workload: Workload) -> TrainingReport:
+        """Search the strategy space and report the best achievable efficiency."""
         model = workload.model
         cluster = workload.cluster()
         candidates = enumerate_strategies(
@@ -857,7 +841,7 @@ class TrainingSystem(ABC):
                 f"{stats.strategies_pruned} pruned by the analytic floor"
             )
         stability: Optional[SelectionStability] = None
-        if self.stability_replicas > 0 and not self._in_stability_sweep:
+        if self.stability_replicas > 0:
             stability = self.strategy_selection_stability(
                 workload,
                 replicas=self.stability_replicas,
@@ -899,9 +883,9 @@ class TrainingSystem(ABC):
     ) -> "SelectionStability":
         """How stable the selected strategy is across independent jitter seeds.
 
-        Runs one *deterministic* search (jitter temporarily disabled) to pin
-        the baseline argmax, then one full risk-adjusted search per replica
-        with the Monte-Carlo seed varied (``base_seed + replica``), and
+        Runs one *deterministic* search (jitter and failures off) to pin the
+        baseline argmax, then one full risk-adjusted search per replica with
+        the Monte-Carlo seed varied (``base_seed + replica``), and
         reports the fraction of draws that keep the baseline winner.  A
         low stability means the deterministic argmax sits on a knife's edge
         the configured jitter routinely flips -- exactly the "wins by 1%
@@ -911,29 +895,26 @@ class TrainingSystem(ABC):
         The whole sweep runs inside one
         :func:`~repro.parallel.search.deduplicated_degenerate_warnings`
         context, so a degenerate parallelism point warns once per stability
-        sweep -- not once per replica search.
+        sweep -- not once per replica search.  Every search runs on a copy
+        of this system, which the sweep never modifies.
         """
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        saved_jitter, saved_seed = self.jitter, self.monte_carlo_seed
-        saved_failures, saved_sweep = self.failures, self._in_stability_sweep
-        selections: List[Optional[ParallelismConfig]] = []
-        try:
-            # Guard against recursion: the per-seed runs below must not
-            # trigger the ``stability_replicas`` sweep of :meth:`run` again.
-            self._in_stability_sweep = True
-            with deduplicated_degenerate_warnings():
-                self.jitter = None
-                self.failures = None
-                baseline = self.run(workload).parallel
-                self.jitter = saved_jitter
-                self.failures = saved_failures
-                for replica in range(replicas):
-                    self.monte_carlo_seed = base_seed + replica
-                    selections.append(self.run(workload).parallel)
-        finally:
-            self.jitter, self.monte_carlo_seed = saved_jitter, saved_seed
-            self.failures, self._in_stability_sweep = saved_failures, saved_sweep
+
+        def winner(**changes) -> Optional[ParallelismConfig]:
+            # A copy with its own settings and no nested stability sweep.
+            clone = copy.copy(self)
+            clone.stability_replicas = 0
+            for name, value in changes.items():
+                setattr(clone, name, value)
+            return clone.run(workload).parallel
+
+        with deduplicated_degenerate_warnings():
+            baseline = winner(jitter=None, failures=None)
+            selections = [
+                winner(monte_carlo_seed=base_seed + replica)
+                for replica in range(replicas)
+            ]
         return SelectionStability(baseline=baseline, selections=selections)
 
     def max_sequence_length(
@@ -1342,7 +1323,8 @@ class TrainingSystem(ABC):
             )
 
         candidates: List[Tuple[Optional[ScheduleKind], Optional[Tuple[ScheduleKind, int, int, int]]]] = []
-        if parallel.pipeline_parallel > 1 and self.pipeline_schedule is not None:
+        pipelined = parallel.pipeline_parallel > 1 and self.pipeline_schedule is not None
+        if pipelined:
             kinds = PIPELINE_SCHEDULE_CANDIDATES if auto else (self.pipeline_schedule,)
             seen = set()
             for kind in kinds:
@@ -1359,7 +1341,7 @@ class TrainingSystem(ABC):
         # and every candidate evaluation.
         p2p_bytes = 0.0
         p2p_bandwidth = float("inf")
-        if any(shape is not None for _, shape in candidates):
+        if pipelined:
             p2p_bytes = pipeline_p2p_bytes_per_micro_batch(
                 model, parallel, workload.sequence_length,
                 workload.micro_batch_size, self.precision,
@@ -1367,53 +1349,30 @@ class TrainingSystem(ABC):
             p2p_time = cost_model.pipeline_p2p_time(p2p_bytes)
             p2p_bandwidth = p2p_bytes / p2p_time if p2p_time > 0 else float("inf")
 
-        bounds: List[Optional[float]] = []
-        for kind, shape in candidates:
-            bound: Optional[float] = None
-            if self.prune_schedule_sweep and shape is not None:
-                bound = pipeline_lower_bound_for_shape(
+        # A candidate's iteration time is its schedule time plus serial
+        # overhead, so its floor is the (safety-scaled, strictly
+        # under-estimating) schedule lower bound plus a serial floor from the
+        # unscaled footprint -- the reorganisation stall only grows with the
+        # in-flight count.
+        floors: List[Optional[float]] = [None] * len(candidates)
+        if pipelined and self.prune_schedule_sweep:
+            serial_floor = serial_overhead(base_memory)[1]
+            floors = [
+                pipeline_lower_bound_for_shape(
                     *shape, stage_costs_for(shape),
                     p2p_bandwidth_bytes_per_s=p2p_bandwidth,
-                )
-            bounds.append(bound)
-
-        serial_floor: Optional[float] = None
-        simulated = 0
-        pruned = 0
-        best: Optional[StrategyEvaluation] = None
-        best_index = -1
-        for index in prune_evaluation_order(
-            [bound if bound is not None else 0.0 for bound in bounds]
-        ):
-            kind, shape = candidates[index]
-            bound = bounds[index]
-            if bound is not None and bound > 0.0 and best is not None and best.feasible:
-                # Prune: the candidate's iteration time is its schedule time
-                # plus serial overhead, bounded below by the (safety-scaled,
-                # so strictly under-estimating) schedule lower bound plus a
-                # serial floor from the unscaled footprint -- the
-                # reorganisation stall only grows with the in-flight count.
-                if serial_floor is None:
-                    serial_floor = serial_overhead(base_memory)[1]
-                if cannot_beat(bound + serial_floor, best.iteration_time_s):
-                    pruned += 1
-                    continue
-            candidate = evaluate_with_schedule(kind, shape)
-            if candidate.pipeline is not None:
-                simulated += 1
-            if not candidate.feasible:
-                if best is None or (not best.feasible and index < best_index):
-                    best, best_index = candidate, index
-                continue
-            if best is None or not best.feasible or (
-                candidate.iteration_time_s < best.iteration_time_s
-            ) or (
-                candidate.iteration_time_s == best.iteration_time_s
-                and index < best_index
-            ):
-                best, best_index = candidate, index
-        assert best is not None
-        best.schedules_simulated = simulated
+                ) + serial_floor
+                for _, shape in candidates
+            ]
+        winner, evaluated, pruned = bounded_argmin(
+            floors, lambda index: evaluate_with_schedule(*candidates[index]),
+        )
+        results = dict(evaluated)
+        # With no feasible kind, report the lowest-index infeasible one.
+        best = results[winner if winner is not None else min(results)]
+        best.schedules_simulated = sum(
+            1 for _, candidate in evaluated if candidate.pipeline is not None
+        )
         best.schedules_pruned = pruned
         return best
 

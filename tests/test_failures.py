@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import tokens
-from repro.parallel.search import SearchStats, best_pipeline_schedule
 from repro.parallel.strategy import ParallelismConfig
 from repro.sim.failures import (
     DEFAULT_RECOVERY,
@@ -46,17 +45,13 @@ from repro.sim.failures import (
     optimal_checkpoint_interval,
     parse_failure_spec,
     parse_recovery_spec,
-    simulate_rolling_failures,
     simulate_time_to_train,
     ttrain_objective_base,
 )
-from repro.sim.pipeline import StageCosts
-from repro.sim.schedules import ScheduleKind, build_schedule
-from repro.sim.stochastic import JitterSpec
+from repro.sim.stochastic import JitterSpec, monte_carlo_timeline
 from repro.systems.base import Workload
 from repro.systems.memo import MemoSystem
 
-COSTS = StageCosts(forward_s=1.0, backward_s=2.0, p2p_bytes=1e6, backward_weight_s=0.8)
 SPEC = FailureSpec(mtbf_s=5000.0, correlated_prob=0.3, preempt_every_s=20000.0,
                    preempt_notice_s=60.0)
 RECOVERY = RecoveryModel(checkpoint_write_s=20.0, restart_overhead_s=100.0)
@@ -562,29 +557,40 @@ class TestTtrainArgmaxInvariance:
             for share in (None, 0.4)
         ]
 
-    def test_pruning_never_changes_argmax_on_the_lattice(self):
+    def _ttrain_p99(self, replicas, ci_halfwidth=None):
+        """Score a schedule by its failure-adjusted p99, as the systems do."""
+        def score(schedule, costs, bandwidth):
+            distribution = monte_carlo_timeline(
+                schedule, costs, self.JITTER, replicas=replicas, seed=5,
+                p2p_bandwidth_bytes_per_s=bandwidth,
+                ci_halfwidth=ci_halfwidth, objective="p99",
+            )
+            return simulate_time_to_train(
+                distribution.samples, 50, self.FAILURES, self.RECOVERY,
+                num_ranks=schedule.num_stages, replicas=replicas, seed=5,
+                ci_halfwidth=ci_halfwidth, objective="ttrain_p99",
+            ).score("ttrain_p99")
+        return score
+
+    def test_pruning_never_changes_argmax_on_the_lattice(self, uniform_schedule_sweep):
         pruned_away = 0
         for p, m, forward, backward, share in self._lattice():
             parallel = ParallelismConfig(pipeline_parallel=p, micro_batches=max(m, p))
             kwargs = dict(
                 num_micro_batches=m, backward_weight_fraction=share,
-                objective="ttrain_p99", jitter=self.JITTER, replicas=8, seed=5,
-                failures=self.FAILURES, recovery=self.RECOVERY,
-                failure_ranks=p, target_iterations=50,
+                score=self._ttrain_p99(replicas=8),
             )
-            stats = SearchStats()
-            pruned = best_pipeline_schedule(
-                parallel, forward, backward, prune=True, stats=stats, **kwargs,
-            )
-            unpruned = best_pipeline_schedule(
+            pruned = uniform_schedule_sweep(parallel, forward, backward, **kwargs)
+            unpruned = uniform_schedule_sweep(
                 parallel, forward, backward, prune=False, **kwargs,
             )
-            assert pruned[0] is unpruned[0], (p, m, forward, backward, share)
-            assert pruned[1].total_s == unpruned[1].total_s
-            pruned_away += stats.schedules_pruned
+            assert pruned.kind is unpruned.kind, (p, m, forward, backward, share)
+            assert pruned.timeline.total_s == unpruned.timeline.total_s
+            assert pruned.score == unpruned.score
+            pruned_away += pruned.pruned
         assert pruned_away > 0
 
-    def test_sequential_stopping_never_changes_the_selection(self):
+    def test_sequential_stopping_never_changes_the_selection(self, uniform_schedule_sweep):
         """Variance-aware budgeting (the ci_halfwidth knob) picks the same
         schedule as the fixed-replica run on the whole lattice -- the
         adaptive samples are a prefix, and the bound (0.01 per-iteration
@@ -592,58 +598,22 @@ class TestTtrainArgmaxInvariance:
         condition under which sequential stopping cannot flip an argmax."""
         for p, m, forward, backward, share in self._lattice():
             parallel = ParallelismConfig(pipeline_parallel=p, micro_batches=max(m, p))
-            kwargs = dict(
-                num_micro_batches=m, backward_weight_fraction=share,
-                objective="ttrain_p99", jitter=self.JITTER, replicas=24, seed=5,
-                failures=self.FAILURES, recovery=self.RECOVERY,
-                failure_ranks=p, target_iterations=50,
+            kwargs = dict(num_micro_batches=m, backward_weight_fraction=share)
+            fixed = uniform_schedule_sweep(
+                parallel, forward, backward,
+                score=self._ttrain_p99(replicas=24), **kwargs,
             )
-            fixed = best_pipeline_schedule(parallel, forward, backward, **kwargs)
-            adaptive = best_pipeline_schedule(
-                parallel, forward, backward, ci_halfwidth=0.01, **kwargs,
+            adaptive = uniform_schedule_sweep(
+                parallel, forward, backward,
+                score=self._ttrain_p99(replicas=24, ci_halfwidth=0.01), **kwargs,
             )
-            assert adaptive[0] is fixed[0], (p, m, forward, backward, share)
+            assert adaptive.kind is fixed.kind, (p, m, forward, backward, share)
 
     def test_ttrain_objective_requires_known_name(self):
-        parallel = ParallelismConfig(pipeline_parallel=2, micro_batches=4)
         with pytest.raises(ValueError):
-            best_pipeline_schedule(parallel, 1.0, 2.0, objective="ttrain_p42",
-                                   failures=self.FAILURES)
+            MemoSystem(risk_objective="ttrain_p42", failures=self.FAILURES)
         with pytest.raises(ValueError):
             ttrain_objective_base("p99")
-
-
-class TestRollingFailures:
-    def test_two_failures_shrink_twice(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        outcome = simulate_rolling_failures(
-            schedule, COSTS, [(1, 10.0), (0, 40.0)], restart_overhead_s=2.0,
-        )
-        assert len(outcome.stages) == 2
-        assert outcome.final_num_stages == 2
-        # Conservation: banked micro-batches plus the final re-planned run
-        # cover the original batch exactly once.
-        assert outcome.completed_micro_batches == 8
-        banked = sum(stage.completed_micro_batches for stage in outcome.stages)
-        assert outcome.stages[-1].replanned_micro_batches == 8 - banked
-        assert outcome.total_s > 40.0
-
-    def test_failure_after_completion_ends_the_job(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 4)
-        outcome = simulate_rolling_failures(
-            schedule, COSTS, [(0, 1e6)], restart_overhead_s=2.0,
-        )
-        assert len(outcome.stages) == 1
-        assert outcome.stages[0].replan_schedule is None
-        assert outcome.completed_micro_batches == 4
-        assert outcome.final_num_stages == 4
-
-    def test_rejects_non_increasing_times(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        with pytest.raises(ValueError):
-            simulate_rolling_failures(schedule, COSTS, [(0, 10.0), (1, 10.0)])
-        with pytest.raises(ValueError):
-            simulate_rolling_failures(schedule, COSTS, [])
 
 
 class TestSystemNullFailureIdentity:

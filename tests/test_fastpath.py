@@ -9,8 +9,8 @@ import pytest
 
 from repro.cli import main
 from repro.config import tokens
-from repro.parallel.search import SearchStats, best_pipeline_schedule, resolve_schedule
-from repro.parallel.strategy import DegenerateScheduleWarning, ParallelismConfig
+from repro.parallel.search import SearchStats, resolve_schedule
+from repro.parallel.strategy import DegenerateScheduleWarning, ParallelismConfig, RecomputeMode
 from repro.sim.engine import SimulationEngine
 from repro.sim.fastpath import (
     FastPathMismatchError,
@@ -156,19 +156,22 @@ class TestLowerBound:
 
 class TestSearchPruning:
     def test_stats_count_pruned_candidates(self):
-        parallel = ParallelismConfig(pipeline_parallel=4, micro_batches=8)
-        stats = SearchStats()
-        kind, timeline = best_pipeline_schedule(
-            parallel, 1.0, 2.0, backward_weight_fraction=0.5, stats=stats,
+        workload = Workload("7B", tokens(64), 8)
+        parallel = ParallelismConfig(
+            tensor_parallel=4, pipeline_parallel=2, data_parallel=1,
+            micro_batches=16, recompute=RecomputeMode.FULL,
         )
-        assert stats.schedules_simulated >= 1
-        assert stats.schedules_simulated + stats.schedules_pruned >= 2
-        assert timeline.total_s > 0
-        # The zero-bubble kinds dominate 1F1B under these costs (the V
-        # placement halves the fill on top of ZB-H1's W deferral); with the
-        # bound ordering the fused 1F1B candidate is pruned, not simulated.
-        assert kind is ScheduleKind.ZB_V
-        assert stats.schedules_pruned >= 1
+        evaluation = MemoSystem(pipeline_schedule="auto")._shared_evaluation(
+            workload, parallel, alpha=0.0,
+        )
+        assert evaluation.feasible
+        assert evaluation.schedules_simulated >= 1
+        assert evaluation.schedules_simulated + evaluation.schedules_pruned >= 2
+        # The zero-bubble kinds dominate 1F1B on this point (the V placement
+        # halves the fill on top of ZB-H1's W deferral); with the bound
+        # ordering the fused 1F1B candidate is pruned, not simulated.
+        assert evaluation.schedule_kind is ScheduleKind.ZB_V
+        assert evaluation.schedules_pruned >= 1
 
     def test_stats_add_accumulates(self):
         total = SearchStats()

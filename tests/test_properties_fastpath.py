@@ -10,11 +10,13 @@ search's argmax.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parallel.strategy import ParallelismConfig
-from repro.parallel.search import SearchStats, best_pipeline_schedule, find_best_strategy
+from repro.parallel.search import bounded_argmin
 from repro.sim.failures import FailureSpec, RecoveryModel, simulate_time_to_train
 from repro.sim.fastpath import (
     compile_schedule_program,
@@ -403,8 +405,8 @@ class TestLowerBoundProperties:
 
 
 class TestPruningNeverChangesArgmax:
-    def test_exhaustive_small_lattice(self):
-        """best_pipeline_schedule with pruning == without, over an exhaustive
+    def test_exhaustive_small_lattice(self, uniform_schedule_sweep):
+        """The schedule sweep with pruning == without, over an exhaustive
         (p, m, f, b, weight-share, p2p) lattice -- same kind, same time."""
         lattice = [
             (p, m, forward, backward, share, p2p)
@@ -419,22 +421,18 @@ class TestPruningNeverChangesArgmax:
             parallel = ParallelismConfig(
                 pipeline_parallel=p, micro_batches=max(m, p),
             )
-            stats = SearchStats()
-            pruned = best_pipeline_schedule(
-                parallel, forward, backward,
+            kwargs = dict(
                 num_micro_batches=m, p2p_time_s=p2p,
                 backward_weight_fraction=share,
-                prune=True, stats=stats,
             )
-            unpruned = best_pipeline_schedule(
-                parallel, forward, backward,
-                num_micro_batches=m, p2p_time_s=p2p,
-                backward_weight_fraction=share,
-                prune=False,
+            pruned = uniform_schedule_sweep(parallel, forward, backward, **kwargs)
+            unpruned = uniform_schedule_sweep(
+                parallel, forward, backward, prune=False, **kwargs,
             )
-            assert pruned[0] is unpruned[0], (p, m, forward, backward, share, p2p)
-            assert pruned[1].total_s == unpruned[1].total_s
-            pruned_away += stats.schedules_pruned
+            assert pruned.kind is unpruned.kind, (p, m, forward, backward, share, p2p)
+            assert pruned.timeline.total_s == unpruned.timeline.total_s
+            assert unpruned.pruned == 0
+            pruned_away += pruned.pruned
         # The lattice must actually exercise pruning, or the test is vacuous.
         assert pruned_away > 0
 
@@ -446,75 +444,119 @@ class TestPruningNeverChangesArgmax:
         st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_randomized_points(self, p, m, forward, backward, share):
+    def test_randomized_points(self, uniform_schedule_sweep, p, m, forward, backward, share):
         parallel = ParallelismConfig(pipeline_parallel=p, micro_batches=max(m, p))
-        pruned = best_pipeline_schedule(
-            parallel, forward, backward, num_micro_batches=m,
-            backward_weight_fraction=share, prune=True,
+        kwargs = dict(num_micro_batches=m, backward_weight_fraction=share)
+        pruned = uniform_schedule_sweep(parallel, forward, backward, **kwargs)
+        unpruned = uniform_schedule_sweep(
+            parallel, forward, backward, prune=False, **kwargs,
         )
-        unpruned = best_pipeline_schedule(
-            parallel, forward, backward, num_micro_batches=m,
-            backward_weight_fraction=share, prune=False,
-        )
-        assert pruned[0] is unpruned[0]
-        assert pruned[1].total_s == unpruned[1].total_s
+        assert pruned.kind is unpruned.kind
+        assert pruned.timeline.total_s == unpruned.timeline.total_s
+
+
+    def test_real_system_auto_search_is_invariant_under_schedule_pruning(self):
+        """The systems' own schedule sweep: an auto search selects the same
+        strategy, schedule kind and iteration time with and without the
+        schedule-level bound, under the deterministic, jittered-tail,
+        failure-adjusted and sequentially-stopped objectives."""
+        from repro.config import tokens
+        from repro.systems.base import Workload
+        from repro.systems.megatron import MegatronSystem
+        from repro.systems.memo import MemoSystem
+
+        jitter = JitterSpec(compute_sigma=0.08, straggler_prob=0.15, straggler_alpha=3.0)
+        failures = "mtbf=43200,correlated=0.3"
+        objectives = [
+            dict(),
+            dict(jitter=jitter, risk_objective="p99", monte_carlo_replicas=4,
+                 monte_carlo_seed=11),
+            dict(failures=failures, risk_objective="ttrain_p99",
+                 monte_carlo_replicas=4),
+            dict(failures=failures, risk_objective="ttrain_p99",
+                 monte_carlo_replicas=12, monte_carlo_ci_halfwidth=0.05),
+        ]
+        jobs = [
+            (MemoSystem, Workload("7B", tokens(32), 8, global_batch_samples=16)),
+            (MegatronSystem, Workload("7B", tokens(32), 16, global_batch_samples=64)),
+        ]
+        pruned_away = 0
+        for system, workload in jobs:
+            for options in objectives:
+                pruned = system(pipeline_schedule="auto", **options).run(workload)
+                plain = system(
+                    pipeline_schedule="auto", prune_schedule_sweep=False, **options,
+                ).run(workload)
+                assert pruned.feasible and plain.feasible
+                assert pruned.parallel == plain.parallel, (system, options)
+                assert pruned.schedule_kind is plain.schedule_kind
+                assert pruned.iteration_time_s == plain.iteration_time_s
+                assert plain.schedules_pruned == 0
+                pruned_away += pruned.schedules_pruned
+        assert pruned_away > 0
+
+
+def _scored(feasible, time_s):
+    return SimpleNamespace(feasible=feasible, iteration_time_s=time_s)
+
+
+def _in_order_argmin(results):
+    """The exhaustive in-order sweep: lowest score, then lowest index."""
+    feasible = [
+        (result.iteration_time_s, index)
+        for index, result in enumerate(results) if result.feasible
+    ]
+    return min(feasible)[1] if feasible else None
 
 
 class TestStrategyPruningNeverChangesArgmax:
-    """find_best_strategy with a per-strategy analytic floor selects exactly
-    the candidate an exhaustive in-order sweep selects -- same strategy, same
-    time -- as long as the floor is a (safety-scaled) true lower bound."""
+    """:func:`bounded_argmin` -- the one pruned candidate loop, under both
+    :func:`find_best_strategy` and the systems' schedule sweep -- selects
+    exactly the candidate an exhaustive in-order sweep selects, as long as
+    every floor is (safety-scaled) strictly below the candidate's score."""
 
     @staticmethod
     def _lattice():
         """A deterministic exhaustive candidate lattice with ties and
-        infeasible points.  Times are a fixed function of the degrees, so
+        infeasible points.  Scores are a fixed function of the degrees, so
         the test re-derives the same search every run."""
-        candidates = []
+        results, floors = [], []
         for pp in (1, 2, 4):
             for tp in (1, 2, 4):
-                for mb in (8, 16):
-                    candidates.append(ParallelismConfig(
-                        tensor_parallel=tp, pipeline_parallel=pp,
-                        data_parallel=1, micro_batches=mb,
-                    ))
-        def true_time(parallel):
-            # Deliberately produces exact ties: time depends only on
-            # (pp, tp), not on micro_batches, so each (pp, tp) pair appears
-            # twice with identical times -- the index tie-break must keep
-            # the first-enumerated one.
-            return 100.0 / parallel.pipeline_parallel + 7.0 * parallel.tensor_parallel
-        def feasible(parallel):
-            return not (parallel.pipeline_parallel == 4 and parallel.tensor_parallel == 4)
-        def evaluate(parallel):
-            if not feasible(parallel):
-                return False, float("inf"), "oom"
-            return True, true_time(parallel), None
-        def floor(parallel):
-            # A true lower bound: 60% of the real time (infeasible points
-            # get a floor too -- pruning them is harmless).
-            return 0.6 * true_time(parallel)
-        return candidates, evaluate, floor
+                for _ in (8, 16):
+                    # Exact ties: the score depends only on (pp, tp), so each
+                    # pair appears twice with identical scores -- the index
+                    # tie-break must keep the first one.
+                    time_s = 100.0 / pp + 7.0 * tp
+                    feasible = not (pp == 4 and tp == 4)
+                    results.append(_scored(feasible, time_s if feasible else float("inf")))
+                    # A true lower bound: 60% of the real score (infeasible
+                    # points get a floor too -- pruning them is harmless).
+                    floors.append(0.6 * time_s)
+        return results, floors
 
     def test_exhaustive_lattice(self):
-        candidates, evaluate, floor = self._lattice()
-        stats = SearchStats()
-        pruned_best, pruned_evaluated = find_best_strategy(
-            candidates, evaluate, strategy_bound=floor, stats=stats,
+        results, floors = self._lattice()
+        winner, evaluated, pruned = bounded_argmin(floors, results.__getitem__)
+        plain, plain_evaluated, plain_pruned = bounded_argmin(
+            [None] * len(results), results.__getitem__,
         )
-        plain_best, plain_evaluated = find_best_strategy(candidates, evaluate)
-        assert pruned_best is not None and plain_best is not None
-        assert pruned_best.parallel == plain_best.parallel
-        assert pruned_best.iteration_time_s == plain_best.iteration_time_s
+        assert winner == plain == _in_order_argmin(results)
+        assert dict(evaluated)[winner].iteration_time_s == (
+            dict(plain_evaluated)[plain].iteration_time_s
+        )
         # The lattice must actually exercise pruning, or the test is vacuous.
-        assert stats.strategies_pruned > 0
-        assert stats.strategies_evaluated == len(pruned_evaluated)
-        assert stats.strategies_evaluated + stats.strategies_pruned == len(candidates)
-        assert len(plain_evaluated) == len(candidates)
+        assert pruned > 0
+        assert len(evaluated) + pruned == len(results)
+        # Evaluation runs in ascending-(floor, index) order.
+        order = [index for index, _ in evaluated]
+        assert order == sorted(order, key=lambda index: (floors[index], index))
+        assert plain_pruned == 0
+        assert [index for index, _ in plain_evaluated] == list(range(len(results)))
 
     @given(st.lists(
         st.tuples(
-            st.floats(min_value=0.1, max_value=100.0),  # true time
+            st.floats(min_value=0.1, max_value=100.0),  # true score
             st.booleans(),                              # feasible
             st.floats(min_value=0.0, max_value=1.0),    # floor tightness
         ),
@@ -522,35 +564,38 @@ class TestStrategyPruningNeverChangesArgmax:
     ))
     @settings(max_examples=100, deadline=None)
     def test_randomized_times_and_floors(self, spec):
-        """For arbitrary candidate times, feasibility patterns and per-
-        candidate floor tightness (any floor <= the true time), pruning
-        never changes the selected candidate."""
-        candidates = [
-            ParallelismConfig(micro_batches=index + 1)
-            for index in range(len(spec))
+        """For arbitrary scores, feasibility patterns and floors no greater
+        than the true score, pruning never changes the winning score; with
+        floors strictly below it (the safety scaling every analytic floor
+        carries) it never changes the winning index either, even on ties."""
+        results = [
+            _scored(feasible, time_s if feasible else float("inf"))
+            for time_s, feasible, _ in spec
         ]
-        table = {c: entry for c, entry in zip(candidates, spec)}
-        def evaluate(parallel):
-            time_s, feasible, _ = table[parallel]
-            if not feasible:
-                return False, float("inf"), "oom"
-            return True, time_s, None
-        def floor(parallel):
-            time_s, _, tightness = table[parallel]
-            return tightness * time_s * (1.0 - 1e-9)
-        stats = SearchStats()
-        pruned_best, _ = find_best_strategy(
-            candidates, evaluate, strategy_bound=floor, stats=stats,
-        )
-        plain_best, _ = find_best_strategy(candidates, evaluate)
-        if plain_best is None:
-            assert pruned_best is None
-            # With no feasible incumbent nothing can be pruned.
-            assert stats.strategies_pruned == 0
-        else:
-            assert pruned_best is not None
-            assert pruned_best.parallel == plain_best.parallel
-            assert pruned_best.iteration_time_s == plain_best.iteration_time_s
+        expected = _in_order_argmin(results)
+        loose = [tightness * time_s for time_s, _, tightness in spec]
+        strict = [floor * (1.0 - 1e-9) for floor in loose]
+        for floors, same_index in ((loose, False), (strict, True)):
+            winner, evaluated, pruned = bounded_argmin(floors, results.__getitem__)
+            assert len(evaluated) + pruned == len(results)
+            if expected is None:
+                assert winner is None
+                continue
+            assert dict(evaluated)[winner].iteration_time_s == (
+                results[expected].iteration_time_s
+            )
+            if same_index:
+                assert winner == expected
+
+    def test_no_pruning_without_a_feasible_incumbent(self):
+        """Floors can only prune against a feasible incumbent: with every
+        candidate infeasible, each one is evaluated, in floor order."""
+        results = [_scored(False, float("inf")) for _ in range(5)]
+        floors = [3.0, 1.0, None, 2.0, 5.0]
+        winner, evaluated, pruned = bounded_argmin(floors, results.__getitem__)
+        assert winner is None
+        assert pruned == 0
+        assert [index for index, _ in evaluated] == [2, 1, 3, 0, 4]
 
     def test_real_system_search_is_invariant_under_pruning(self):
         """MemoSystem's auto search: the analytic floor prunes whole
@@ -584,7 +629,7 @@ class TestRiskObjectivePruningNeverChangesArgmax:
 
     JITTER = JitterSpec(compute_sigma=0.08, straggler_prob=0.15, straggler_alpha=3.0)
 
-    def test_exhaustive_small_lattice_p99(self):
+    def test_exhaustive_small_lattice_p99(self, uniform_schedule_sweep):
         lattice = [
             (p, m, forward, backward, share)
             for p in (2, 3, 4)
@@ -592,46 +637,54 @@ class TestRiskObjectivePruningNeverChangesArgmax:
             for forward, backward in ((1.0, 2.0), (0.5, 3.0), (2.0, 1.0))
             for share in (None, 0.4)
         ]
+
+        def p99(schedule, costs, bandwidth):
+            return monte_carlo_timeline(
+                schedule, costs, self.JITTER, replicas=8, seed=5,
+                p2p_bandwidth_bytes_per_s=bandwidth,
+            ).score("p99")
+
         pruned_away = 0
         for p, m, forward, backward, share in lattice:
             parallel = ParallelismConfig(
                 pipeline_parallel=p, micro_batches=max(m, p),
             )
-            stats = SearchStats()
-            pruned = best_pipeline_schedule(
-                parallel, forward, backward,
-                num_micro_batches=m, backward_weight_fraction=share,
-                prune=True, stats=stats,
-                objective="p99", jitter=self.JITTER, replicas=8, seed=5,
+            kwargs = dict(
+                num_micro_batches=m, backward_weight_fraction=share, score=p99,
             )
-            unpruned = best_pipeline_schedule(
-                parallel, forward, backward,
-                num_micro_batches=m, backward_weight_fraction=share,
-                prune=False,
-                objective="p99", jitter=self.JITTER, replicas=8, seed=5,
+            pruned = uniform_schedule_sweep(parallel, forward, backward, **kwargs)
+            unpruned = uniform_schedule_sweep(
+                parallel, forward, backward, prune=False, **kwargs,
             )
-            assert pruned[0] is unpruned[0], (p, m, forward, backward, share)
-            assert pruned[1].total_s == unpruned[1].total_s
-            pruned_away += stats.schedules_pruned
+            assert pruned.kind is unpruned.kind, (p, m, forward, backward, share)
+            assert pruned.timeline.total_s == unpruned.timeline.total_s
+            assert pruned.score == unpruned.score
+            pruned_away += pruned.pruned
         assert pruned_away > 0
 
-    def test_zero_jitter_mean_reproduces_deterministic_selection(self):
-        """objective='mean' with the null spec is bit-identical to today's
-        deterministic sweep -- same kind object, same timeline numbers."""
+    def test_zero_jitter_mean_reproduces_deterministic_selection(self, uniform_schedule_sweep):
+        """objective='mean' with the null spec is bit-identical to the
+        deterministic sweep -- same kind, same score, same timeline."""
+        def null_mean(schedule, costs, bandwidth):
+            return monte_carlo_timeline(
+                schedule, costs, JitterSpec(), replicas=8, seed=0,
+                p2p_bandwidth_bytes_per_s=bandwidth,
+            ).score("mean")
+
         for p, m in ((2, 4), (4, 8), (4, 12)):
             parallel = ParallelismConfig(pipeline_parallel=p, micro_batches=m)
-            deterministic = best_pipeline_schedule(
+            deterministic = uniform_schedule_sweep(
                 parallel, 1.0, 2.0, num_micro_batches=m,
                 backward_weight_fraction=0.4,
             )
-            risk = best_pipeline_schedule(
+            risk = uniform_schedule_sweep(
                 parallel, 1.0, 2.0, num_micro_batches=m,
-                backward_weight_fraction=0.4,
-                objective="mean", jitter=JitterSpec(), replicas=8, seed=0,
+                backward_weight_fraction=0.4, score=null_mean,
             )
-            assert risk[0] is deterministic[0]
-            assert risk[1].total_s == deterministic[1].total_s
-            assert risk[1].bubble_fraction == deterministic[1].bubble_fraction
+            assert risk.kind is deterministic.kind
+            assert risk.score == deterministic.score
+            assert risk.timeline.total_s == deterministic.timeline.total_s
+            assert risk.timeline.bubble_fraction == deterministic.timeline.bubble_fraction
 
     def test_real_system_p99_search_is_invariant_under_pruning(self):
         """MemoSystem under a p99 objective: both pruning levels stay

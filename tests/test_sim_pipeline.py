@@ -3,15 +3,11 @@
 import pytest
 
 from repro.config import tokens
-from repro.parallel.search import (
-    best_pipeline_schedule,
-    resolve_schedule,
-    simulate_pipeline_schedule,
-    simulated_bubble_fraction,
-)
+from repro.parallel.search import resolve_schedule
 from repro.parallel.strategy import OffloadMode, ParallelismConfig, RecomputeMode
 from repro.sim.executor import LayerTask, simulate_iteration
 from repro.sim.engine import SimulationEngine
+from repro.sim.fastpath import evaluate_schedule
 from repro.sim.pipeline import (
     StageCosts,
     peak_activation_bytes,
@@ -405,50 +401,52 @@ class TestSearchIntegration:
 
     def test_simulated_bubble_matches_analytic_for_uniform_stages(self):
         parallel = self.make_parallel(pp=4, m=8)
-        bubble = simulated_bubble_fraction(
-            parallel, ScheduleKind.ONE_F_ONE_B, forward_s=1.0, backward_s=2.0,
-        )
+        schedule = resolve_schedule(parallel, ScheduleKind.ONE_F_ONE_B)
+        bubble = evaluate_schedule(schedule, uniform_costs(schedule)).bubble_fraction
         assert bubble == pytest.approx(3 / 11, abs=1e-9)
-        assert simulated_bubble_fraction(
-            ParallelismConfig(), ScheduleKind.ONE_F_ONE_B, 1.0, 2.0,
-        ) == 0.0
+        single = resolve_schedule(ParallelismConfig(), ScheduleKind.ONE_F_ONE_B)
+        assert evaluate_schedule(single, uniform_costs(single)).bubble_fraction == 0.0
 
     def test_simulate_pipeline_schedule_charges_p2p_time(self):
-        parallel = self.make_parallel(pp=4, m=8)
-        free = simulate_pipeline_schedule(
-            parallel, ScheduleKind.ONE_F_ONE_B, 1.0, 2.0, p2p_time_s=0.0,
-        )
-        costly = simulate_pipeline_schedule(
-            parallel, ScheduleKind.ONE_F_ONE_B, 1.0, 2.0, p2p_time_s=0.5,
-        )
+        schedule = resolve_schedule(self.make_parallel(pp=4, m=8), ScheduleKind.ONE_F_ONE_B)
+        costs = uniform_costs(schedule, p2p_bytes=1.0)
+        free = evaluate_schedule(schedule, costs)
+        # One byte over a 2 B/s link: a 0.5 s hop.
+        costly = evaluate_schedule(schedule, costs, p2p_bandwidth_bytes_per_s=2.0)
         assert costly.total_s > free.total_s
 
-    def test_best_pipeline_schedule_prefers_zero_bubble(self):
+    def test_best_pipeline_schedule_prefers_zero_bubble(self, uniform_schedule_sweep):
         parallel = self.make_parallel(pp=4, m=8)
-        kind, timeline = best_pipeline_schedule(
+        best = uniform_schedule_sweep(
             parallel, forward_s=1.0, backward_s=2.0, backward_weight_fraction=0.5,
         )
         # In the zero-bubble regime (W ~ B_input) the V placement wins: it
         # halves the pipeline fill on top of ZB-H1's deferred W ops.
-        assert kind is ScheduleKind.ZB_V
-        one_f = simulate_pipeline_schedule(parallel, ScheduleKind.ONE_F_ONE_B, 1.0, 2.0)
-        assert timeline.total_s < one_f.total_s
-        zb_h1 = simulate_pipeline_schedule(
-            parallel, ScheduleKind.ZB_H1, 1.0, 2.0, backward_weight_fraction=0.5,
-        )
-        assert timeline.total_s <= zb_h1.total_s
+        assert best.kind is ScheduleKind.ZB_V
+        one_f = resolve_schedule(parallel, ScheduleKind.ONE_F_ONE_B)
+        assert best.timeline.total_s < evaluate_schedule(one_f, uniform_costs(one_f)).total_s
+        zb_h1 = resolve_schedule(parallel, ScheduleKind.ZB_H1)
+        zb_h1_costs = uniform_costs(zb_h1, backward_weight_s=1.0)
+        assert best.timeline.total_s <= evaluate_schedule(zb_h1, zb_h1_costs).total_s
 
     def test_best_pipeline_schedule_dedups_degenerate_candidates(self):
-        # m % p != 0, so interleaved resolves to plain 1F1B and must not be
-        # simulated twice; the sweep still returns a winner.
-        parallel = self.make_parallel(pp=4, m=6)
-        kind, timeline = best_pipeline_schedule(
-            parallel, forward_s=1.0, backward_s=2.0, backward_weight_fraction=0.5,
+        # m % p != 0, so interleaved resolves to plain 1F1B and the system's
+        # auto sweep must not simulate it twice; it still returns a winner.
+        workload = Workload("7B", tokens(64), 8, global_batch_samples=6)
+        parallel = ParallelismConfig(
+            tensor_parallel=2, pipeline_parallel=4, data_parallel=1,
+            micro_batches=6, recompute=RecomputeMode.FULL,
         )
-        assert kind in (ScheduleKind.ONE_F_ONE_B, ScheduleKind.ZB_H1, ScheduleKind.ZB_V)
-        assert timeline.total_s > 0
-        with pytest.raises(ValueError, match="candidates"):
-            best_pipeline_schedule(parallel, 1.0, 2.0, candidates=())
+        evaluation = MegatronSystem(
+            pipeline_schedule="auto", prune_schedule_sweep=False,
+        )._shared_evaluation(workload, parallel, alpha=0.0)
+        assert evaluation.feasible
+        assert evaluation.schedule_kind in (
+            ScheduleKind.ONE_F_ONE_B, ScheduleKind.ZB_H1, ScheduleKind.ZB_V,
+        )
+        assert evaluation.pipeline.total_s > 0
+        # 1F1B, ZB-H1 and ZB-V: the interleaved candidate collapsed.
+        assert evaluation.schedules_simulated == 3
 
 
 class TestSystemsIntegration:
@@ -563,12 +561,12 @@ class TestSystemsIntegration:
         assert legacy.pipeline is None
 
     def test_run_accepts_a_schedule_override(self):
-        system = MegatronSystem()
+        # The constructor's schedule overrides the system's 1F1B default.
+        system = MegatronSystem(pipeline_schedule="gpipe")
         workload = Workload("7B", tokens(64), 8)
-        report = system.run(workload, schedule="gpipe")
+        report = system.run(workload)
         assert report.feasible
-        # The override is transient: the system's default schedule survives.
-        assert system.pipeline_schedule is ScheduleKind.ONE_F_ONE_B
+        assert system.pipeline_schedule is ScheduleKind.GPIPE
 
     def test_schedule_name_parsed_in_constructor(self):
         system = MegatronSystem(pipeline_schedule="interleaved", pipeline_chunks=2)

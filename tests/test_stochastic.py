@@ -52,7 +52,6 @@ from repro.sim.stochastic import (
     parse_jitter_spec,
     perturb_stage_costs,
     replica_rng,
-    simulate_rank_failure,
 )
 from repro.systems.base import Workload
 from repro.systems.memo import MemoSystem
@@ -383,61 +382,6 @@ class TestValidatedDraws:
         assert dist.replicas == 4
 
 
-class TestRankFailure:
-    def test_micro_batch_conservation(self):
-        schedule = _zb_v()
-        timeline = critical_path_timeline(schedule, [COSTS] * schedule.num_virtual_stages)
-        outcome = simulate_rank_failure(
-            schedule, COSTS, failed_rank=1,
-            failure_time_s=timeline.total_s * 0.5, restart_overhead_s=2.0,
-        )
-        assert outcome.completed_micro_batches + outcome.replanned_micro_batches == 8
-        assert outcome.replan_schedule.num_stages == 3
-        assert outcome.replan_timeline is not None
-        assert outcome.total_s == pytest.approx(
-            outcome.failure_time_s + 2.0 + outcome.replan_timeline.total_s,
-        )
-
-    def test_failure_after_completion_is_free(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        timeline = critical_path_timeline(schedule, [COSTS] * schedule.num_virtual_stages)
-        outcome = simulate_rank_failure(
-            schedule, COSTS, failed_rank=0, failure_time_s=timeline.total_s + 1.0,
-        )
-        assert outcome.completed_micro_batches == 8
-        assert outcome.replanned_micro_batches == 0
-        assert outcome.replan_schedule is None
-        assert outcome.total_s == timeline.total_s
-
-    def test_immediate_failure_replans_everything(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=2, failure_time_s=0.0)
-        assert outcome.completed_micro_batches == 0
-        assert outcome.replanned_micro_batches == 8
-        # Redistributed layers: each surviving stage carries p/(p-1) compute.
-        replan_costs = outcome.replan_timeline.schedule and None  # structure only
-        assert outcome.replan_schedule.num_stages == 3
-
-    def test_interleaved_falls_back_when_shrunk_shape_illegal(self):
-        # 8 micro-batches on p-1 = 3 ranks violates m % p == 0: degrade to 1F1B.
-        schedule = build_schedule(ScheduleKind.INTERLEAVED, 4, 8, num_chunks=2)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=0, failure_time_s=0.0)
-        assert outcome.replan_schedule.kind is ScheduleKind.ONE_F_ONE_B
-
-    def test_rejects_bad_inputs(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        single = build_schedule(ScheduleKind.ONE_F_ONE_B, 1, 8)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(single, COSTS, failed_rank=0, failure_time_s=1.0)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=4, failure_time_s=1.0)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=0, failure_time_s=-1.0)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=0, failure_time_s=1.0,
-                                  restart_overhead_s=-0.5)
-
-
 class TestWarningDedupUnderReplication:
     def test_warns_once_per_stability_sweep_not_once_per_replica(self):
         """A degenerate parallelism point re-warns on every candidate rebuild
@@ -605,38 +549,6 @@ class TestMonteCarloSequentialStopping:
                                  ci_halfwidth=1.0, min_replicas=1)
 
 
-class TestElasticOutcomeMetadata:
-    def test_interleaved_shrink_is_flagged_degraded(self):
-        schedule = build_schedule(ScheduleKind.INTERLEAVED, 4, 8, num_chunks=2)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=0,
-                                        failure_time_s=0.0)
-        assert outcome.replan_kind is ScheduleKind.ONE_F_ONE_B
-        assert outcome.degraded is True
-
-    def test_same_kind_shrink_is_not_degraded(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=1,
-                                        failure_time_s=0.0)
-        assert outcome.replan_kind is ScheduleKind.ONE_F_ONE_B
-        assert outcome.degraded is False
-
-    def test_completed_run_reports_no_replan_kind(self):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        timeline = critical_path_timeline(schedule, [COSTS] * 4)
-        outcome = simulate_rank_failure(schedule, COSTS, failed_rank=0,
-                                        failure_time_s=timeline.total_s + 1.0)
-        assert outcome.replan_kind is None
-        assert outcome.degraded is False
-
-    @pytest.mark.parametrize("restart", [float("inf"), float("nan")])
-    def test_non_finite_restart_rejected(self, restart):
-        schedule = build_schedule(ScheduleKind.ONE_F_ONE_B, 4, 8)
-        with pytest.raises(ValueError):
-            simulate_rank_failure(schedule, COSTS, failed_rank=0,
-                                  failure_time_s=1.0,
-                                  restart_overhead_s=restart)
-
-
 class TestSelectionStability:
     def test_flip_accounting_with_seed_sensitive_scores(self):
         """A genuine argmax flip: a system whose risk-adjusted winner
@@ -668,6 +580,31 @@ class TestSelectionStability:
         # The sweep restores the system's own seed and jitter afterwards.
         assert system.monte_carlo_seed == 0
         assert system.jitter is not None
+
+    def test_sweep_never_assigns_to_the_system(self):
+        """Every search of a stability sweep runs on a copy: after
+        construction, not one attribute of the system itself is assigned --
+        neither by the run nor by the sweep it triggers."""
+        assignments = []
+
+        class RecordingSystem(MemoSystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.__dict__["_constructed"] = True
+
+            def __setattr__(self, name, value):
+                if self.__dict__.get("_constructed"):
+                    assignments.append((self, name))
+                super().__setattr__(name, value)
+
+        system = RecordingSystem(
+            pipeline_schedule="auto", jitter="0.05", risk_objective="p99",
+            monte_carlo_replicas=2, stability_replicas=2,
+        )
+        workload = Workload("7B", tokens(32), 8, global_batch_samples=16)
+        report = system.run(workload)
+        assert report.selection_stability is not None
+        assert [name for target, name in assignments if target is system] == []
 
     def test_cross_seed_sweep_is_bit_identical_across_processes(self):
         """The whole stability sweep -- baseline plus per-seed searches --
